@@ -7,7 +7,7 @@
 
 #include "core/clock.h"
 #include "gfw/aho_corasick.h"
-#include "netsim/fragment.h"
+#include "netsim/reassembler.h"
 
 namespace ys::gfw {
 
@@ -80,9 +80,6 @@ struct GfwConfig {
 
   /// OpenVPN handshake DPI (observed Nov 2016, §7.3).
   bool vpn_dpi = false;
-
-  /// Monitored receive window for the reassembler.
-  u32 window = 65535;
 
   /// TTL the device stamps on injected packets (before path decrement).
   u8 inject_ttl = 64;

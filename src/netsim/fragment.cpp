@@ -7,6 +7,9 @@
 
 namespace ys::net {
 
+// Largest IPv4 datagram, header included (the 16-bit total-length field).
+constexpr u32 kMaxDatagramBytes = 65535;
+
 std::vector<Packet> fragment_packet(const Packet& pkt,
                                     std::size_t mtu_payload) {
   assert(!pkt.ip.is_fragmented());
@@ -56,17 +59,8 @@ std::optional<Packet> FragmentReassembler::push(const Packet& pkt) {
   const std::size_t off = static_cast<std::size_t>(pkt.ip.fragment_offset) * 8;
   Bytes slice = serialize_transport(pkt);
   const std::size_t end = off + slice.size();
-
-  if (part.bytes.size() < end) {
-    part.bytes.resize(end, 0);
-    part.present.resize(end, false);
-  }
-  for (std::size_t i = 0; i < slice.size(); ++i) {
-    const std::size_t pos = off + i;
-    if (part.present[pos] && policy_ == OverlapPolicy::kPreferFirst) continue;
-    part.bytes[pos] = slice[i];
-    part.present[pos] = true;
-  }
+  part.bytes.insert(0, static_cast<u32>(off), slice, kMaxDatagramBytes,
+                    policy_);
 
   if (pkt.ip.fragment_offset == 0) {
     part.first_header = pkt.ip;
@@ -77,28 +71,35 @@ std::optional<Packet> FragmentReassembler::push(const Packet& pkt) {
   }
 
   if (!part.total_length || !part.have_first) return std::nullopt;
-  if (part.bytes.size() < *part.total_length) return std::nullopt;
-  if (!std::all_of(part.present.begin(),
-                   part.present.begin() + static_cast<long>(*part.total_length),
-                   [](bool b) { return b; })) {
+  const std::size_t header_bytes =
+      static_cast<std::size_t>(part.first_header.ihl_words) * 4;
+  if (header_bytes + *part.total_length > kMaxDatagramBytes) {
+    partial_.erase(key);  // oversized: no valid datagram can come of it
     return std::nullopt;
   }
+  if (part.bytes.ready(0) < *part.total_length) return std::nullopt;
 
   // Rebuild the whole datagram's wire image and parse it back.
   Ipv4Header hdr = part.first_header;
   hdr.more_fragments = false;
   hdr.fragment_offset = 0;
-  hdr.total_length = static_cast<u16>(
-      static_cast<std::size_t>(hdr.ihl_words) * 4 + *part.total_length);
+  hdr.total_length = static_cast<u16>(header_bytes + *part.total_length);
   hdr.header_checksum = 0;
 
+  u32 next = 0;
+  const Bytes transport = part.bytes.pop(next);
   Bytes image = serialize_ip_header(hdr);
-  image.insert(image.end(), part.bytes.begin(),
-               part.bytes.begin() + static_cast<long>(*part.total_length));
+  image.insert(image.end(), transport.begin(),
+               transport.begin() + static_cast<long>(*part.total_length));
   partial_.erase(key);
 
+  // Drop hopeless garbage silently, and likewise a datagram whose bytes the
+  // packet model cannot carry (unknown or overrunning TCP options): its
+  // total_length would not match what it serializes to.
   auto parsed = parse(image);
-  if (!parsed.ok()) return std::nullopt;  // hopeless garbage; drop silently
+  if (!parsed.ok() || !ip_length_consistent(parsed.value())) {
+    return std::nullopt;
+  }
   Packet whole = std::move(parsed).take();
   finalize(whole);  // recompute the IP header checksum for the new header
   return whole;

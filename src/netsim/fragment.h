@@ -7,7 +7,6 @@
 // reassemble them before forwarding — both behaviours use this engine.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -15,14 +14,9 @@
 #include "core/result.h"
 #include "core/types.h"
 #include "netsim/packet.h"
+#include "netsim/reassembler.h"
 
 namespace ys::net {
-
-/// Which copy of an overlapped byte range wins at reassembly.
-enum class OverlapPolicy {
-  kPreferFirst,  // GFW IP-fragment behaviour, BSD-style
-  kPreferLast,   // overwrite with the newest copy
-};
 
 /// Split a finalized, non-fragmented packet into IP fragments whose payload
 /// slices are at most `mtu_payload` bytes (rounded down to a multiple of 8
@@ -45,7 +39,8 @@ class FragmentReassembler {
 
   /// Feed one fragment (or a whole packet, which passes straight through).
   /// Returns the fully reassembled packet once every byte of the datagram
-  /// is present, otherwise nullopt.
+  /// is present, otherwise nullopt. A datagram whose header plus payload
+  /// would pass 65,535 bytes is dropped, as Linux's ip_frag_reasm does.
   std::optional<Packet> push(const Packet& pkt);
 
   /// Drop partial state older than callers care about (simple flush; the
@@ -71,9 +66,7 @@ class FragmentReassembler {
     }
   };
   struct Partial {
-    // Sparse assembled transport bytes plus a presence bitmap.
-    std::vector<u8> bytes;
-    std::vector<bool> present;
+    Reassembler bytes;  // transport bytes, anchored at offset 0
     std::optional<std::size_t> total_length;  // known once MF=0 arrives
     Ipv4Header first_header;                  // header of the offset-0 frag
     bool have_first = false;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "netsim/fragment.h"
 #include "netsim/path.h"
 #include "tcpstack/tcp_endpoint.h"
 

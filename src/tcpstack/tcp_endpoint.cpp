@@ -10,7 +10,6 @@ namespace ys::tcp {
 namespace {
 constexpr i64 kInitialRtoMs = 200;
 constexpr int kMaxRetransmits = 6;
-constexpr u16 kWindowBytes = 65535;
 
 struct StackMetrics {
   obs::Counter& segments_in;
@@ -51,9 +50,7 @@ void count_ignore(IgnoreReason reason, LinuxVersion version) {
 TcpEndpoint::TcpEndpoint(net::EventLoop& loop, Rng rng, StackProfile profile,
                          net::FourTuple local, Callbacks callbacks)
     : loop_(loop), rng_(std::move(rng)), profile_(profile), local_(local),
-      cb_(std::move(callbacks)) {
-  rcv_wnd_ = kWindowBytes;
-}
+      cb_(std::move(callbacks)) {}
 
 void TcpEndpoint::set_state(TcpState next) {
   if (state_ == next) return;
@@ -139,7 +136,7 @@ net::Packet TcpEndpoint::make_segment(net::TcpFlags flags, u32 seq, u32 ack,
                                       Bytes payload) {
   net::Packet pkt =
       net::make_tcp_packet(local_, flags, seq, ack, std::move(payload));
-  pkt.tcp->window = rcv_wnd_;
+  pkt.tcp->window = kWindowBytes;
   if (profile_.use_timestamps && (flags.syn || ts_enabled_peer_)) {
     // A coarse 1 ms timestamp clock, offset per connection.
     const u32 ts_val = static_cast<u32>(loop_.now().millis()) + iss_ % 1000;
@@ -337,7 +334,7 @@ void TcpEndpoint::process_syn_recv(const net::Packet& pkt) {
       return;
     }
     const bool in_window =
-        seq_ge(t.seq, rcv_nxt_) && seq_lt(t.seq, rcv_nxt_ + rcv_wnd_);
+        seq_ge(t.seq, rcv_nxt_) && seq_lt(t.seq, rcv_nxt_ + kWindowBytes);
     if (!in_window) {
       ignore(pkt, IgnoreReason::kOutOfWindowRst);
       return;
@@ -410,7 +407,7 @@ bool TcpEndpoint::handle_rst(const net::Packet& pkt) {
     return true;
   }
   const bool in_window =
-      seq_ge(t.seq, rcv_nxt_) && seq_lt(t.seq, rcv_nxt_ + rcv_wnd_);
+      seq_ge(t.seq, rcv_nxt_) && seq_lt(t.seq, rcv_nxt_ + kWindowBytes);
   if (!in_window) {
     ignore(pkt, IgnoreReason::kOutOfWindowRst);
     return true;
@@ -442,7 +439,7 @@ bool TcpEndpoint::handle_syn_in_sync_state(const net::Packet& pkt) {
   }
   // Pre-5961 stack: an in-window SYN aborts the connection.
   const bool in_window =
-      seq_ge(t.seq, rcv_nxt_) && seq_lt(t.seq, rcv_nxt_ + rcv_wnd_);
+      seq_ge(t.seq, rcv_nxt_) && seq_lt(t.seq, rcv_nxt_ + kWindowBytes);
   if (in_window) {
     send_rst(snd_nxt_);
     reset_seen_ = true;
@@ -493,7 +490,7 @@ void TcpEndpoint::accept_payload(const net::Packet& pkt) {
     ignore(pkt, IgnoreReason::kDuplicateData);
     return;
   }
-  if (seq_ge(seg_seq, rcv_nxt_ + rcv_wnd_)) {
+  if (seq_ge(seg_seq, rcv_nxt_ + kWindowBytes)) {
     // Entirely beyond the window: duplicate ACK, state unchanged — the
     // canonical "ignored possibly with an ACK in response" path of §5.3.
     send_ack();
@@ -501,31 +498,11 @@ void TcpEndpoint::accept_payload(const net::Packet& pkt) {
     return;
   }
 
-  // Clip to the receive window and merge into the out-of-order byte store
-  // under the profile's overlap policy (Linux keeps the first copy).
-  for (u32 off = 0; off < seg_len; ++off) {
-    const u32 pos = seg_seq + off;
-    if (seq_lt(pos, rcv_nxt_)) continue;
-    if (seq_ge(pos, rcv_nxt_ + rcv_wnd_)) break;
-    auto it = ooo_bytes_.find(pos);
-    if (it != ooo_bytes_.end()) {
-      if (profile_.segment_overlap == net::OverlapPolicy::kPreferLast) {
-        it->second = pkt.payload[off];
-      }
-    } else {
-      ooo_bytes_.emplace(pos, pkt.payload[off]);
-    }
-  }
-
-  // Drain contiguous bytes from rcv_nxt.
-  Bytes delivered;
-  while (true) {
-    auto it = ooo_bytes_.find(rcv_nxt_);
-    if (it == ooo_bytes_.end()) break;
-    delivered.push_back(it->second);
-    ooo_bytes_.erase(it);
-    ++rcv_nxt_;
-  }
+  // Clip to the receive window, merge under the profile's overlap policy
+  // (Linux keeps the first copy) and deliver what is contiguous.
+  reasm_.insert(rcv_nxt_, seg_seq, pkt.payload, kWindowBytes,
+                profile_.segment_overlap);
+  const Bytes delivered = reasm_.pop(rcv_nxt_);
   if (!delivered.empty()) {
     received_stream_.insert(received_stream_.end(), delivered.begin(),
                             delivered.end());

@@ -9,7 +9,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -139,7 +138,6 @@ class TcpEndpoint {
   u32 snd_una_ = 0;   // oldest unacknowledged
   u32 snd_nxt_ = 0;   // next to send
   u32 rcv_nxt_ = 0;   // next expected
-  u16 rcv_wnd_ = 65535;
   bool fin_queued_ = false;
   bool fin_sent_ = false;
   bool reset_seen_ = false;
@@ -148,9 +146,9 @@ class TcpEndpoint {
   bool ts_enabled_peer_ = false;
   u32 ts_recent_ = 0;
 
-  // Out-of-order receive bytes beyond rcv_nxt (byte-granular, policy
-  // applied per byte per profile_.segment_overlap).
-  std::map<u32, u8> ooo_bytes_;
+  // Receive bytes not yet delivered, anchored at rcv_nxt_ (overlaps
+  // resolved per profile_.segment_overlap).
+  net::Reassembler reasm_;
 
   // Untransmitted/unacked send buffer keyed by starting seq.
   struct Unacked {

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/types.h"
-#include "netsim/fragment.h"
+#include "netsim/reassembler.h"
 
 namespace ys::tcp {
 
@@ -25,6 +25,10 @@ enum class TcpState {
 };
 
 const char* to_string(TcpState s);
+
+/// Receive window every modeled stack advertises and the GFW's shadow
+/// stream tracks (window scaling is not modeled).
+inline constexpr u16 kWindowBytes = 65535;
 
 /// Sequence-number comparison helpers (wrap-around safe, RFC 793 §3.3).
 constexpr bool seq_lt(u32 a, u32 b) { return static_cast<i32>(a - b) < 0; }

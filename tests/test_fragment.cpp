@@ -197,5 +197,33 @@ TEST(Reassembly, ClearDropsPartialState) {
   EXPECT_EQ(reasm.pending_datagrams(), 0u);
 }
 
+// A datagram may not grow past the IPv4 total-length field: fragments that
+// reach beyond 65,535 bytes of header plus payload are dropped with their
+// datagram instead of coming out with a truncated total_length.
+TEST(Reassembly, OversizedDatagramIsDropped) {
+  // 20 IP + 20 TCP header bytes + 65,495 payload bytes: exactly 65,535.
+  const Packet whole = sample_packet(65535 - 40);
+  ASSERT_EQ(whole.ip.total_length, 65535);
+  auto frags = fragment_packet(whole, 1480);
+
+  FragmentReassembler reasm(OverlapPolicy::kPreferFirst);
+  std::optional<Packet> out;
+  for (const auto& frag : frags) out = reasm.push(frag);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->ip.total_length, 65535);
+  EXPECT_EQ(serialize(*out).size(), 65535u);
+
+  // Same datagram, but the last fragment carries 8 more bytes.
+  Packet& last = frags.back();
+  Bytes longer = last.payload;
+  longer.resize(longer.size() + 8, 'x');
+  last = make_raw_fragment(whole, last.ip.fragment_offset * 8u,
+                           std::move(longer), false);
+  for (const auto& frag : frags) {
+    EXPECT_FALSE(reasm.push(frag).has_value());
+  }
+  EXPECT_EQ(reasm.pending_datagrams(), 0u);
+}
+
 }  // namespace
 }  // namespace ys::net

@@ -6,6 +6,7 @@
 
 #include "app/dns.h"
 #include "gfw/gfw_device.h"
+#include "netsim/fragment.h"
 #include "netsim/wire.h"
 #include "tcpstack/tcp_endpoint.h"
 
@@ -170,6 +171,58 @@ TEST_P(GfwStorm, RandomInterleavingsNeverBreakTheDevice) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GfwStorm, ::testing::Values(21, 22, 23));
+
+// ------------------------------------------------------ IP fragment storm
+
+class FragmentStorm : public ::testing::TestWithParam<u64> {};
+
+// Real datagrams fragmented at random MTUs, shuffled, and mixed with
+// conflicting overlaps, random MF bits and offsets up to the 13-bit limit,
+// pushed into both overlap policies. Whatever comes out must be a coherent
+// datagram.
+TEST_P(FragmentStorm, ReassembledPacketsMatchTheirTotalLength) {
+  Rng rng(GetParam());
+  net::FragmentReassembler first(net::OverlapPolicy::kPreferFirst);
+  net::FragmentReassembler last(net::OverlapPolicy::kPreferLast);
+  int reassembled = 0;
+
+  for (int i = 0; i < 400; ++i) {
+    net::Packet whole = net::make_tcp_packet(
+        kTuple, net::TcpFlags::psh_ack(), rng.next_u32(), rng.next_u32(),
+        Bytes(rng.uniform(600), static_cast<u8>('a' + i % 26)));
+    whole.ip.identification = static_cast<u16>(rng.uniform(4));
+    net::finalize(whole);
+    const std::size_t size = net::serialize_transport(whole).size();
+
+    std::vector<net::Packet> frags =
+        net::fragment_packet(whole, 8 + rng.uniform(200));
+    for (u64 extra = rng.uniform(4); extra > 0; --extra) {
+      const bool far = rng.chance(0.2);
+      const std::size_t off =
+          8 * (far ? rng.uniform(8192) : rng.uniform(size / 8 + 1));
+      Bytes junk(rng.uniform(far ? 2000 : 64));
+      for (auto& b : junk) b = static_cast<u8>(rng.next_u32());
+      frags.push_back(
+          net::make_raw_fragment(whole, off, std::move(junk), rng.chance(0.5)));
+    }
+    for (std::size_t k = frags.size(); k > 1; --k) {
+      std::swap(frags[k - 1], frags[rng.uniform(k)]);
+    }
+
+    for (const auto& frag : frags) {
+      for (net::FragmentReassembler* reasm : {&first, &last}) {
+        const auto out = reasm->push(frag);
+        if (!out) continue;
+        if (frag.ip.is_fragmented()) ++reassembled;
+        ASSERT_EQ(static_cast<std::size_t>(out->ip.total_length),
+                  net::serialize(*out).size());
+      }
+    }
+  }
+  EXPECT_GT(reassembled, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FragmentStorm, ::testing::Values(31, 32, 33));
 
 // ------------------------------------------------------------- aho-corasick
 
