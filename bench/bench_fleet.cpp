@@ -85,45 +85,15 @@ std::string deterministic_digest(const obs::Snapshot& snap) {
   return out;
 }
 
-/// One full fleet sweep in a private metrics registry. With `store`,
-/// chains whose slots are all recorded are skipped (values read back), and
-/// every executed slot is persisted. Chain state (shared KV store, client
-/// selectors, writers) lives per vantage; the runner's chain contract
-/// keeps each state single-threaded even at --jobs=N.
-SweepOut sweep(const fleet::Fleet& fl, runner::PoolOptions pool,
+/// One full fleet sweep (Fleet::sweep) in a private metrics registry,
+/// optionally recording a timeline and resuming through `store`.
+SweepOut sweep(const fleet::Fleet& fl, const runner::PoolOptions& pool,
                runner::ResultsStore* store, obs::Timeline* tl = nullptr) {
   obs::MetricsRegistry local;
   obs::ScopedMetricsRegistry scope(&local);
   std::optional<obs::ScopedTimeline> tl_scope;
   if (tl != nullptr) tl_scope.emplace(tl);
-  pool.heartbeat_extra = [&fl] { return fl.heartbeat_line(); };
-
-  const runner::TrialGrid grid = fl.grid();
-  std::vector<std::unique_ptr<fleet::Fleet::VantageState>> states;
-  states.reserve(grid.chains());
-  std::vector<char> skip(grid.chains(), 0);
-  for (std::size_t ch = 0; ch < grid.chains(); ++ch) {
-    skip[ch] = store != nullptr &&
-                       store->range_complete(ch * grid.trials,
-                                             (ch + 1) * grid.trials)
-                   ? 1
-                   : 0;
-    // Skipped chains never run a flow, so they need no state.
-    states.push_back(skip[ch] ? nullptr : fl.make_vantage_state(ch));
-  }
-
-  auto out = runner::collect_grid_or(
-      grid, pool, static_cast<i64>(-1),
-      [&](const runner::GridCoord& c, runner::TaskContext&) {
-        const std::size_t slot = grid.index(c);
-        if (store != nullptr && skip[grid.chain(c)]) {
-          return *store->get(slot);
-        }
-        const i64 encoded =
-            fl.run_flow(c, *states[grid.chain(c)]).encode();
-        if (store != nullptr) store->put(slot, encoded);
-        return encoded;
-      });
+  auto out = fl.sweep(pool, store);
 
   SweepOut res;
   res.slots = std::move(out.slots);

@@ -10,6 +10,7 @@
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "runner/results_store.h"
 
 namespace ys::fleet {
 
@@ -48,8 +49,18 @@ bool is_cache_source(int source) {
              static_cast<int>(StrategySelector::Choice::Source::kStoreHit);
 }
 
-StrategySelector::Config fleet_selector_config() {
-  return StrategySelector::Config{};
+/// A cache/store hit supplied by another client's flow: one client's
+/// measurement served another's.
+bool cross_client_supply(const Fleet::FlowRecord& rec, const FlowSpec& flow,
+                         const std::vector<FlowSpec>& schedule) {
+  return rec.supplier >= 0 &&
+         schedule[static_cast<std::size_t>(rec.supplier)].client !=
+             flow.client;
+}
+
+obs::TimelineLabels vantage_labels(const exp::VantagePoint& vp,
+                                   std::size_t vantage) {
+  return {{"vantage", vp.name}, {"vantage_index", std::to_string(vantage)}};
 }
 
 }  // namespace
@@ -104,16 +115,15 @@ std::unique_ptr<Fleet::VantageState> Fleet::make_vantage_state(
   state->cfg = &cfg_;
   state->schedule = build_flow_schedule(cfg_, vps_[vantage].name);
   state->writer.assign(servers_.size(), -1);
-  state->timeline_labels = {{"vantage", vps_[vantage].name},
-                            {"vantage_index", std::to_string(vantage)}};
+  state->timeline_labels = vantage_labels(vps_[vantage], vantage);
   if (cfg_.share != ShareMode::kCold) {
     state->selectors.reserve(static_cast<std::size_t>(cfg_.clients));
     for (int i = 0; i < cfg_.clients; ++i) {
       state->selectors.push_back(
           cfg_.share == ShareMode::kShared
-              ? std::make_unique<StrategySelector>(fleet_selector_config(),
+              ? std::make_unique<StrategySelector>(StrategySelector::Config{},
                                                    &state->store)
-              : std::make_unique<StrategySelector>(fleet_selector_config()));
+              : std::make_unique<StrategySelector>(StrategySelector::Config{}));
     }
   }
   return state;
@@ -157,6 +167,106 @@ Fleet::FlowRecord Fleet::run_flow(const runner::GridCoord& c,
   return run_flow_impl(c, state, /*tracing=*/false, nullptr, {}, {});
 }
 
+runner::GridOutcome<i64> Fleet::sweep(
+    runner::PoolOptions pool, runner::ResultsStore* store, VantageRange range,
+    const std::function<void(std::size_t)>& on_recorded) const {
+  const runner::TrialGrid grid = this->grid();
+  range.end = std::min(range.end, grid.vantages);
+  range.begin = std::min(range.begin, range.end);
+  // The slice's sub-grid: local vantage axis, same trial axis. Every flow
+  // maps back to its global coordinate, so seeds, schedules and slot
+  // indices match the full sweep's.
+  runner::TrialGrid sub = grid;
+  sub.vantages = range.end - range.begin;
+
+  // A chain the store holds in full is skipped and needs no state.
+  std::vector<std::unique_ptr<VantageState>> states(sub.chains());
+  for (std::size_t v = range.begin; v < range.end; ++v) {
+    if (store == nullptr ||
+        !store->range_complete(v * grid.trials, (v + 1) * grid.trials)) {
+      states[v - range.begin] = make_vantage_state(v);
+    }
+  }
+
+  for (auto* n : {&live_.flows, &live_.successes, &live_.cache_hits}) {
+    n->store(0);
+  }
+  for (auto& n : live_.phase_flows) n.store(0);
+  pool.heartbeat_extra = [this] { return heartbeat_line(); };
+
+  runner::GridOutcome<i64> out;
+  out.slots.assign(grid.total(), -1);
+  out.report = runner::run_grid(
+      sub, pool, [&](const runner::GridCoord& c, runner::TaskContext&) {
+        runner::GridCoord g = c;
+        g.vantage += range.begin;
+        const std::size_t slot = grid.index(g);
+        VantageState* state = states[c.vantage].get();
+        if (state == nullptr) {
+          out.slots[slot] = *store->get(slot);
+          return;
+        }
+        const i64 encoded = run_flow(g, *state).encode();
+        out.slots[slot] = encoded;
+        if (store != nullptr) store->put(slot, encoded);
+        if (on_recorded) on_recorded(slot);
+      });
+  return out;
+}
+
+void Fleet::publish_flow(const FlowRecord& rec, const FlowSpec& flow,
+                         const std::vector<FlowSpec>& schedule,
+                         const obs::TimelineLabels& labels,
+                         obs::Timeline* tl) const {
+  FleetMetrics& m = metrics();
+  m.flows.inc();
+  switch (rec.outcome) {
+    case exp::Outcome::kSuccess: m.success.inc(); break;
+    case exp::Outcome::kFailure1: m.failure1.inc(); break;
+    case exp::Outcome::kFailure2: m.failure2.inc(); break;
+    case exp::Outcome::kTrialError: m.trial_error.inc(); break;
+  }
+  if (cfg_.share != ShareMode::kCold && flow.fresh_session) {
+    m.fresh_sessions.inc();
+  }
+  const bool cache_hit = is_cache_source(rec.source);
+  const bool cross_client = cross_client_supply(rec, flow, schedule);
+  if (cache_hit) m.cache_hits.inc();
+  if (cross_client) m.cross_client_supply.inc();
+  auto& reg = obs::MetricsRegistry::current();
+  if (rec.source >= 0) {
+    reg.counter(std::string("fleet.pick.") +
+                to_string(static_cast<StrategySelector::Choice::Source>(
+                    rec.source)))
+        .inc();
+  }
+  // Per-strategy share over time: one counter per (soak phase, strategy);
+  // phase p0 = before any soak boundary (or a soak-free run).
+  reg.counter("fleet.share.p" + std::to_string(flow.soak_phase + 1) + "." +
+              strategy::to_string(rec.strategy))
+      .inc();
+
+  // Timeline producers (opt-in): the same outcomes, bucketed at the flow's
+  // virtual arrival instant per vantage. flow.at and the record are pure
+  // functions of the grid coordinates, so these series are bit-identical
+  // under --jobs=N.
+  if (tl == nullptr) return;
+  tl->count("fleet.flows", labels, flow.at);
+  if (rec.outcome == exp::Outcome::kSuccess) {
+    tl->count("fleet.flow_success", labels, flow.at);
+  }
+  if (cache_hit) tl->count("fleet.cache_hit", labels, flow.at);
+  if (cross_client) tl->count("fleet.cross_client_supply", labels, flow.at);
+  if (rec.source ==
+      static_cast<int>(StrategySelector::Choice::Source::kSafeMode)) {
+    tl->count("fleet.safe_mode", labels, flow.at);
+  }
+  // Gauge, not counter: its per-bucket max is the newest flow index in the
+  // bucket — the `--trial=` coordinate `yourstate report` prints for
+  // anomalous buckets.
+  tl->sample("fleet.flow_index", labels, flow.at, flow.index);
+}
+
 Fleet::FlowRecord Fleet::run_flow_impl(const runner::GridCoord& c,
                                        VantageState& state, bool tracing,
                                        exp::Replay* replay,
@@ -173,9 +283,8 @@ Fleet::FlowRecord Fleet::run_flow_impl(const runner::GridCoord& c,
   if (cfg_.share != ShareMode::kCold) {
     auto& slot = state.selectors[static_cast<std::size_t>(flow.client)];
     if (flow.fresh_session) {
-      metrics().fresh_sessions.inc();
       if (cfg_.share == ShareMode::kShared) {
-        slot = std::make_unique<StrategySelector>(fleet_selector_config(),
+        slot = std::make_unique<StrategySelector>(StrategySelector::Config{},
                                                   &state.store);
       } else {
         slot->forget_cache();
@@ -224,33 +333,8 @@ Fleet::FlowRecord Fleet::run_flow_impl(const runner::GridCoord& c,
     state.writer[static_cast<std::size_t>(flow.server)] = flow.index;
   }
 
-  // ------------------------------------------------------------ metrics
-  FleetMetrics& m = metrics();
-  m.flows.inc();
-  switch (rec.outcome) {
-    case exp::Outcome::kSuccess: m.success.inc(); break;
-    case exp::Outcome::kFailure1: m.failure1.inc(); break;
-    case exp::Outcome::kFailure2: m.failure2.inc(); break;
-    case exp::Outcome::kTrialError: m.trial_error.inc(); break;
-  }
-  if (is_cache_source(rec.source)) m.cache_hits.inc();
-  if (rec.supplier >= 0 &&
-      state.schedule[static_cast<std::size_t>(rec.supplier)].client !=
-          flow.client) {
-    m.cross_client_supply.inc();
-  }
-  auto& reg = obs::MetricsRegistry::current();
-  if (rec.source >= 0) {
-    reg.counter(std::string("fleet.pick.") +
-                to_string(static_cast<StrategySelector::Choice::Source>(
-                    rec.source)))
-        .inc();
-  }
-  // Per-strategy share over time: one counter per (soak phase, strategy);
-  // phase p0 = before any soak boundary (or a soak-free run).
-  reg.counter("fleet.share.p" + std::to_string(flow.soak_phase + 1) + "." +
-              strategy::to_string(rec.strategy))
-      .inc();
+  publish_flow(rec, flow, state.schedule, state.timeline_labels,
+               obs::Timeline::current());
 
   // Live heartbeat feed (relaxed: monitoring only, never read into
   // results).
@@ -262,34 +346,8 @@ Fleet::FlowRecord Fleet::run_flow_impl(const runner::GridCoord& c,
     live_.cache_hits.fetch_add(1, std::memory_order_relaxed);
   }
   const std::size_t live_phase = std::min<std::size_t>(
-      static_cast<std::size_t>(flow.soak_phase), kMaxLivePhases - 1);
+      static_cast<std::size_t>(flow.soak_phase + 1), kMaxLivePhases - 1);
   live_.phase_flows[live_phase].fetch_add(1, std::memory_order_relaxed);
-
-  // Timeline producers (opt-in): the same outcomes, bucketed at the flow's
-  // virtual arrival instant per vantage. flow.at and the record are pure
-  // functions of the grid coordinates, so these series are bit-identical
-  // under --jobs=N.
-  if (obs::Timeline* tl = obs::Timeline::current()) {
-    const obs::TimelineLabels& lbl = state.timeline_labels;
-    tl->count("fleet.flows", lbl, flow.at);
-    if (rec.outcome == exp::Outcome::kSuccess) {
-      tl->count("fleet.flow_success", lbl, flow.at);
-    }
-    if (is_cache_source(rec.source)) tl->count("fleet.cache_hit", lbl, flow.at);
-    if (rec.supplier >= 0 &&
-        state.schedule[static_cast<std::size_t>(rec.supplier)].client !=
-            flow.client) {
-      tl->count("fleet.cross_client_supply", lbl, flow.at);
-    }
-    if (rec.source ==
-        static_cast<int>(StrategySelector::Choice::Source::kSafeMode)) {
-      tl->count("fleet.safe_mode", lbl, flow.at);
-    }
-    // Gauge, not counter: its per-bucket max is the newest flow index in
-    // the bucket — the `--trial=` coordinate `yourstate report` prints
-    // for anomalous buckets.
-    tl->sample("fleet.flow_index", lbl, flow.at, flow.index);
-  }
 
   if (tracing && replay != nullptr) {
     // Attribute the pick to its supplier in the trace, causally linked to
@@ -348,12 +406,14 @@ std::string Fleet::heartbeat_line() const {
                 flows > 0 ? 100.0 * static_cast<double>(ok) / flows : 0.0,
                 flows > 0 ? 100.0 * static_cast<double>(hits) / flows : 0.0);
   std::string out = buf;
+  const char* sep = " | ";
   for (std::size_t p = 0; p < kMaxLivePhases; ++p) {
     const u64 n = live_.phase_flows[p].load(std::memory_order_relaxed);
     if (n == 0) continue;
-    std::snprintf(buf, sizeof(buf), " %sp%zu:%llu", p == 0 ? "| " : "",
-                  p + 1, static_cast<unsigned long long>(n));
+    std::snprintf(buf, sizeof(buf), "%sp%zu:%llu", sep, p,
+                  static_cast<unsigned long long>(n));
     out += buf;
+    sep = " ";
   }
   return out;
 }
@@ -374,7 +434,7 @@ Fleet::Report Fleet::analyze(const std::vector<i64>& slots) const {
   report.phases = cfg_.soak.size() + 1;
   report.total_flows = slots.size();
 
-  const auto candidates = fleet_selector_config().candidates;
+  const auto candidates = StrategySelector::Config{}.candidates;
   std::vector<strategy::StrategyId> strat_ids;
   strat_ids.push_back(strategy::StrategyId::kNone);
   for (auto id : candidates) strat_ids.push_back(id);
@@ -431,9 +491,7 @@ Fleet::Report Fleet::analyze(const std::vector<i64>& slots) const {
           break;
         }
       }
-      if (rec.supplier >= 0 &&
-          schedule[static_cast<std::size_t>(rec.supplier)].client !=
-              flow.client) {
+      if (cross_client_supply(rec, flow, schedule)) {
         ++report.cross_client_supplies;
       }
     }
@@ -539,83 +597,15 @@ std::string Fleet::Report::render() const {
 void Fleet::rebuild_telemetry(const std::vector<i64>& slots,
                               obs::Timeline* tl) const {
   const runner::TrialGrid g = grid();
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::current();
-  // run_flow_impl's FleetMetrics binding creates the whole counter family
-  // on its first flow, zero-valued members included; a metrics snapshot of
-  // the rebuilt registry must list the same names to be byte-identical.
-  bool any_recorded = false;
-  for (const i64 slot : slots) any_recorded = any_recorded || slot >= 0;
-  if (any_recorded) {
-    for (const char* name :
-         {"fleet.flows", "fleet.flow_success", "fleet.flow_failure1",
-          "fleet.flow_failure2", "fleet.flow_trial_error", "fleet.cache_hit",
-          "fleet.cross_client_supply", "fleet.fresh_session"}) {
-      reg.counter(name);
-    }
-  }
   for (std::size_t v = 0; v < vps_.size(); ++v) {
     const std::vector<FlowSpec> schedule =
         build_flow_schedule(cfg_, vps_[v].name);
-    const obs::TimelineLabels labels{{"vantage", vps_[v].name},
-                                     {"vantage_index", std::to_string(v)}};
+    const obs::TimelineLabels labels = vantage_labels(vps_[v], v);
     for (std::size_t t = 0; t < g.trials && t < schedule.size(); ++t) {
       const i64 slot = slots[v * g.trials + t];
       if (slot < 0) continue;  // hole: nothing was published for it
-      const FlowRecord rec = FlowRecord::decode(slot);
-      const FlowSpec& flow = schedule[t];
-
-      // Mirror of run_flow_impl's metrics block, driven by the record
-      // alone (the slots are a sufficient statistic for all of fleet.*).
-      reg.counter("fleet.flows").inc();
-      switch (rec.outcome) {
-        case exp::Outcome::kSuccess:
-          reg.counter("fleet.flow_success").inc();
-          break;
-        case exp::Outcome::kFailure1:
-          reg.counter("fleet.flow_failure1").inc();
-          break;
-        case exp::Outcome::kFailure2:
-          reg.counter("fleet.flow_failure2").inc();
-          break;
-        case exp::Outcome::kTrialError:
-          reg.counter("fleet.flow_trial_error").inc();
-          break;
-      }
-      if (cfg_.share != ShareMode::kCold && flow.fresh_session) {
-        reg.counter("fleet.fresh_session").inc();
-      }
-      const bool cache_hit = is_cache_source(rec.source);
-      if (cache_hit) reg.counter("fleet.cache_hit").inc();
-      const bool cross_client =
-          rec.supplier >= 0 &&
-          schedule[static_cast<std::size_t>(rec.supplier)].client !=
-              flow.client;
-      if (cross_client) reg.counter("fleet.cross_client_supply").inc();
-      if (rec.source >= 0) {
-        reg.counter(std::string("fleet.pick.") +
-                    to_string(static_cast<StrategySelector::Choice::Source>(
-                        rec.source)))
-            .inc();
-      }
-      reg.counter("fleet.share.p" + std::to_string(flow.soak_phase + 1) +
-                  "." + strategy::to_string(rec.strategy))
-          .inc();
-
-      if (tl != nullptr) {
-        tl->count("fleet.flows", labels, flow.at);
-        if (rec.outcome == exp::Outcome::kSuccess) {
-          tl->count("fleet.flow_success", labels, flow.at);
-        }
-        if (cache_hit) tl->count("fleet.cache_hit", labels, flow.at);
-        if (cross_client) {
-          tl->count("fleet.cross_client_supply", labels, flow.at);
-        }
-        if (rec.source ==
-            static_cast<int>(StrategySelector::Choice::Source::kSafeMode)) {
-          tl->count("fleet.safe_mode", labels, flow.at);
-        }
-        tl->sample("fleet.flow_index", labels, flow.at, flow.index);
-      }
+      publish_flow(FlowRecord::decode(slot), schedule[t], schedule, labels,
+                   tl);
     }
   }
 }

@@ -13,13 +13,15 @@
 // The sweep rides ys::runner under the hard determinism contract: the grid
 // is one chain per vantage (chain_trials), every flow's result encodes
 // into one i64 slot (chain-granularity resume via ResultsStore), and
-// --jobs=N is bit-identical to serial. replay_flow() rebuilds any chain
-// prefix and re-runs one flow traced, with the strategy's supplying flow
-// linked via caused_by so `yourstate explain` can attribute a cache hit to
-// the flow that wrote the entry.
+// --jobs=N is bit-identical to serial. sweep() drives that grid, and one
+// publisher emits each flow's telemetry, live or rebuilt from the slots.
+// replay_flow() rebuilds any chain prefix and re-runs one flow traced, with
+// the strategy's supplying flow linked via caused_by so `yourstate
+// explain` can attribute a cache hit to the flow that wrote the entry.
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,7 +37,17 @@ namespace ys::obs {
 class Timeline;
 }
 
+namespace ys::runner {
+class ResultsStore;
+}
+
 namespace ys::fleet {
+
+/// Vantages [begin, end) of a fleet grid; the default is all of them.
+struct VantageRange {
+  std::size_t begin = 0;
+  std::size_t end = static_cast<std::size_t>(-1);
+};
 
 class Fleet {
  public:
@@ -87,6 +99,16 @@ class Fleet {
 
   /// Fresh chain state for `vantage` (schedule built, stores empty).
   std::unique_ptr<VantageState> make_vantage_state(std::size_t vantage) const;
+
+  /// Sweep the vantages in `range` on the pool, heartbeat_line() as the
+  /// heartbeat payload. With `store`, fully recorded chains are skipped
+  /// (values read back) and each executed flow is stored under its global
+  /// slot before `on_recorded(slot)` fires on its worker. Slots span the
+  /// whole grid: -1 outside `range` or where a flow threw.
+  runner::GridOutcome<i64> sweep(
+      runner::PoolOptions pool, runner::ResultsStore* store = nullptr,
+      VantageRange range = {},
+      const std::function<void(std::size_t)>& on_recorded = {}) const;
 
   /// Run flow `c.trial` of vantage `c.vantage` against the chain state.
   /// Must be called in ascending trial order on one thread (the runner's
@@ -168,10 +190,21 @@ class Fleet {
                          obs::Timeline* tl = nullptr) const;
 
   // ------------------------------------------------------- live telemetry
-  /// Soak phases the live stats break flows down by (phase indices beyond
-  /// this clamp into the last bucket).
+  /// Soak phases the live stats break flows down by, numbered like
+  /// fleet.share.pN (p0 = before any boundary); later phases clamp into
+  /// the last bucket.
   static constexpr std::size_t kMaxLivePhases = 8;
 
+  /// One-line summary of the current sweep's flows so far, e.g. "ok 61.8%
+  /// | cache 40.2% | p0:120 p1:240" — sweep()'s heartbeat payload.
+  std::string heartbeat_line() const;
+
+  /// Mark the sweep's soak-phase boundaries on a timeline ("soak-phase"
+  /// annotations at each phase's start instant). Idempotent (annotations
+  /// dedup), no-op on nullptr or a soak-free config.
+  void annotate_timeline(obs::Timeline* tl) const;
+
+ private:
   /// Relaxed atomics bumped by run_flow on whichever worker executes it,
   /// for the stderr heartbeat of long sweeps (bench_fleet --heartbeat).
   /// Monitoring only: nothing reads them back into results, so they sit
@@ -183,18 +216,14 @@ class Fleet {
     std::atomic<u64> phase_flows[kMaxLivePhases] = {};
   };
 
-  const LiveStats& live() const { return live_; }
-
-  /// One-line summary of live(), e.g. "ok 61.8% | cache 40.2% | p1:120
-  /// p2:240" — the heartbeat_extra payload for PoolOptions.
-  std::string heartbeat_line() const;
-
-  /// Mark the sweep's soak-phase boundaries on a timeline ("soak-phase"
-  /// annotations at each phase's start instant). Idempotent (annotations
-  /// dedup), no-op on nullptr or a soak-free config.
-  void annotate_timeline(obs::Timeline* tl) const;
-
- private:
+  /// The one source of a flow's fleet.* telemetry: every counter, the
+  /// fleet.pick.* and fleet.share.pN.* families into the current registry,
+  /// and the timeline series into `tl` (nullptr = none). run_flow calls it
+  /// live; rebuild_telemetry re-drives it from recorded slots.
+  void publish_flow(const FlowRecord& rec, const FlowSpec& flow,
+                    const std::vector<FlowSpec>& schedule,
+                    const std::map<std::string, std::string>& labels,
+                    obs::Timeline* tl) const;
   FlowRecord run_flow_impl(const runner::GridCoord& c, VantageState& state,
                            bool tracing, exp::Replay* replay,
                            const std::string& trace_path,

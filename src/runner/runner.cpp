@@ -33,7 +33,8 @@ RunnerReport run_grid(
           fn(c, ctx);
           trials_done.fetch_add(1, std::memory_order_relaxed);
         }
-      });
+      },
+      &trials_done, grid.total());
 
   // The pool counted chains; re-express the report in trials.
   report.trials = grid.total();

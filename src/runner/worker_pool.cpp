@@ -291,7 +291,8 @@ void RunnerReport::publish(obs::MetricsRegistry& registry) const {
 
 RunnerReport run_sharded(
     const PoolOptions& opt, std::size_t count,
-    const std::function<void(std::size_t, TaskContext&)>& task) {
+    const std::function<void(std::size_t, TaskContext&)>& task,
+    const std::atomic<u64>* trials_done, std::size_t trials) {
   RunnerReport report;
   const int jobs = resolve_jobs(opt.jobs);
   report.jobs = jobs;
@@ -301,8 +302,11 @@ RunnerReport run_sharded(
 
   CancelToken cancel;
   std::atomic<u64> progress{0};
-  const bool heartbeat_on = opt.heartbeat_seconds > 0.0;
-  Heartbeat heartbeat(opt, count, &progress);
+  // Count tasks only when the heartbeat reads them.
+  const bool heartbeat_on =
+      opt.heartbeat_seconds > 0.0 && trials_done == nullptr;
+  Heartbeat heartbeat(opt, trials_done != nullptr ? trials : count,
+                      trials_done != nullptr ? trials_done : &progress);
 
   if (jobs == 1 || count <= 1) {
     // Serial reference path: inline on the caller, no threads, no registry

@@ -57,9 +57,10 @@ struct PoolOptions {
   /// atomics or otherwise thread-safe state.
   std::function<std::string()> heartbeat_extra;
   /// Structured heartbeat consumer, fired on the same cadence as the
-  /// stderr line with (tasks done, tasks total). Shard children use this
-  /// to feed the supervisor's pipe protocol. Called from the monitor
-  /// thread — same thread-safety rules as heartbeat_extra.
+  /// stderr line with (done, total) in tasks, or in trials under
+  /// run_grid. Shard children use this to feed the supervisor's pipe
+  /// protocol. Called from the monitor thread — same thread-safety rules
+  /// as heartbeat_extra.
   std::function<void(u64, std::size_t)> heartbeat_sink;
   /// Suppress the human-readable stderr heartbeat line (the sink still
   /// fires). Shard children run quiet so N children don't interleave
@@ -138,8 +139,12 @@ struct RunnerReport {
 /// Execute tasks [0, count) across the pool; blocks until every task ran
 /// (or cancellation drained the queues). `task` may run on any worker
 /// thread, for any index, in any order — see the determinism contract
-/// above.
+/// above. The heartbeat counts tasks unless the caller passes its own
+/// relaxed `trials_done` counter and `trials` total (run_grid's chained
+/// grids run one task per chain but report progress in trials).
 RunnerReport run_sharded(const PoolOptions& opt, std::size_t count,
-                         const std::function<void(std::size_t, TaskContext&)>& task);
+                         const std::function<void(std::size_t, TaskContext&)>& task,
+                         const std::atomic<u64>* trials_done = nullptr,
+                         std::size_t trials = 0);
 
 }  // namespace ys::runner

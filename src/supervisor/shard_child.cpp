@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <memory>
 
 #include "core/rng.h"
 #include "obs/metrics.h"
@@ -87,27 +86,6 @@ int run_shard_child(const FleetShardOptions& opt) {
     }
   }
 
-  // The shard's sub-grid: local vantage axis, same trial axis; every task
-  // maps its coordinate back to the global vantage index before running,
-  // so seeds, schedules, and slot indices match the unsharded sweep.
-  runner::TrialGrid sub;
-  sub.cells = 1;
-  sub.vantages = part.vantage_end - part.vantage_begin;
-  sub.servers = 1;
-  sub.trials = grid.trials;
-  sub.chain_trials = true;
-
-  std::vector<std::unique_ptr<fleet::Fleet::VantageState>> states;
-  states.reserve(sub.chains());
-  std::vector<char> skip(sub.chains(), 0);
-  for (std::size_t lc = 0; lc < sub.chains(); ++lc) {
-    const std::size_t gv = part.vantage_begin + lc;
-    skip[lc] = store.range_complete(gv * grid.trials, (gv + 1) * grid.trials)
-                   ? 1
-                   : 0;
-    states.push_back(skip[lc] ? nullptr : fl.make_vantage_state(gv));
-  }
-
   std::atomic<u64> flows_done{0};
   std::atomic<bool> stalled{false};
   auto write_hb = [&](u64 done, std::size_t total) {
@@ -130,17 +108,10 @@ int run_shard_child(const FleetShardOptions& opt) {
   pool.heartbeat_quiet = true;
   pool.heartbeat_sink = write_hb;
 
-  write_hb(0, sub.total());
+  write_hb(0, shard_flows);
 
-  auto out = runner::collect_grid_or(
-      sub, pool, static_cast<i64>(-1),
-      [&](const runner::GridCoord& c, runner::TaskContext&) {
-        runner::GridCoord g = c;
-        g.vantage = part.vantage_begin + c.vantage;
-        const std::size_t slot = grid.index(g);
-        if (skip[sub.chain(c)]) return *store.get(slot);
-        const i64 encoded = fl.run_flow(g, *states[sub.chain(c)]).encode();
-        store.put(slot, encoded);
+  (void)fl.sweep(
+      pool, &store, {part.vantage_begin, part.vantage_end}, [&](std::size_t) {
         // Chaos triggers fire only after the slot is flushed, so the
         // checkpoint the restart resumes from is always line-complete.
         const u64 n = flows_done.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -151,11 +122,9 @@ int run_shard_child(const FleetShardOptions& opt) {
           stalled.store(true, std::memory_order_relaxed);
           for (;;) ::sleep(3600);  // wedge until the supervisor SIGKILLs us
         }
-        return encoded;
       });
-  (void)out;
 
-  write_hb(sub.total(), sub.total());
+  write_hb(shard_flows, shard_flows);
   return 0;
 }
 

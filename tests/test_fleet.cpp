@@ -56,35 +56,15 @@ struct SweepOut {
   std::string digest;
 };
 
-/// One full sweep in a private registry, optionally through a results
-/// store (recorded chains are skipped, executed slots persisted) — the
-/// same shape bench_fleet and `yourstate fleet` use.
+/// One full sweep (Fleet::sweep) in a private registry, optionally through
+/// a results store.
 SweepOut sweep(const fleet::Fleet& fl, int jobs,
                runner::ResultsStore* store = nullptr) {
   obs::MetricsRegistry local;
   obs::ScopedMetricsRegistry scope(&local);
-  const runner::TrialGrid grid = fl.grid();
-  std::vector<std::unique_ptr<fleet::Fleet::VantageState>> states;
-  std::vector<char> skip(grid.chains(), 0);
-  for (std::size_t ch = 0; ch < grid.chains(); ++ch) {
-    skip[ch] = store != nullptr &&
-                       store->range_complete(ch * grid.trials,
-                                             (ch + 1) * grid.trials)
-                   ? 1
-                   : 0;
-    states.push_back(skip[ch] ? nullptr : fl.make_vantage_state(ch));
-  }
   runner::PoolOptions pool;
   pool.jobs = jobs;
-  auto out = runner::collect_grid_or(
-      grid, pool, static_cast<i64>(-1),
-      [&](const runner::GridCoord& c, runner::TaskContext&) {
-        const std::size_t slot = grid.index(c);
-        if (store != nullptr && skip[grid.chain(c)]) return *store->get(slot);
-        const i64 encoded = fl.run_flow(c, *states[grid.chain(c)]).encode();
-        if (store != nullptr) store->put(slot, encoded);
-        return encoded;
-      });
+  auto out = fl.sweep(pool, store);
   return SweepOut{std::move(out.slots), counters_digest(local.snapshot())};
 }
 
@@ -259,6 +239,84 @@ TEST(Fleet, KilledThenResumedMatchesUninterrupted) {
     EXPECT_TRUE(store.range_complete(0, grid.total()));
   }
   std::filesystem::remove_all(dir, ec);
+}
+
+TEST(Fleet, MidChainResumeRerunsTheChainFromFlowZero) {
+  const fleet::FleetConfig cfg = small_config();
+  const fleet::Fleet fl(cfg);
+  const runner::TrialGrid grid = fl.grid();
+  const SweepOut ref = sweep(fl, 1);
+
+  const std::string dir = "test_fleet_midchain.tmp";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  const u64 sig = runner::ResultsStore::signature_of({"fleet",
+                                                      cfg.signature()});
+  {
+    // A shard killed mid-chain: only the first half of chain 0 recorded.
+    runner::ResultsStore store(dir, "test_fleet", sig, grid.total());
+    for (std::size_t t = 0; t < grid.trials / 2; ++t) {
+      store.put(t, ref.slots[t]);
+    }
+  }
+  {
+    runner::ResultsStore store(dir, "test_fleet", sig, grid.total());
+    ASSERT_TRUE(store.resumed());
+    ASSERT_FALSE(store.range_complete(0, grid.trials));
+    // The chain's selectors and stores died with the process, so its
+    // recorded prefix cannot be skipped: the chain re-runs from flow 0.
+    const SweepOut resumed = sweep(fl, 2, &store);
+    EXPECT_EQ(resumed.slots, ref.slots);
+    EXPECT_EQ(resumed.digest, ref.digest);
+    EXPECT_TRUE(store.range_complete(0, grid.total()));
+  }
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(Fleet, SweepSliceWritesGlobalSlots) {
+  const fleet::Fleet fl(small_config());
+  const runner::TrialGrid grid = fl.grid();
+  const SweepOut ref = sweep(fl, 1);
+  obs::MetricsRegistry local;
+  obs::ScopedMetricsRegistry scope(&local);
+  std::vector<std::size_t> recorded;
+  const auto out =
+      fl.sweep(runner::PoolOptions{}, nullptr, {1, 2},
+               [&](std::size_t slot) { recorded.push_back(slot); });
+  ASSERT_EQ(out.slots.size(), grid.total());
+  ASSERT_EQ(recorded.size(), grid.trials);
+  for (std::size_t s = 0; s < grid.total(); ++s) {
+    EXPECT_EQ(out.slots[s], s < grid.trials ? -1 : ref.slots[s]) << s;
+  }
+  EXPECT_EQ(recorded.front(), grid.trials);
+  EXPECT_EQ(out.report.trials, grid.trials);
+}
+
+TEST(Fleet, HeartbeatLineNumbersPhasesFromP0) {
+  std::string error;
+  const fleet::Fleet clean(fleet::parse_fleet_config(
+      "clients=4;flows=20;servers=3;vantages=2;arrival=20", error));
+  ASSERT_TRUE(error.empty()) << error;
+  const std::string all =
+      "| p0:" + std::to_string(clean.grid().total());
+  // Soak-free flows are p0; a second sweep on the same Fleet starts from
+  // zero instead of adding to the first.
+  for (int rep = 0; rep < 2; ++rep) {
+    (void)sweep(clean, 1);
+    const std::string line = clean.heartbeat_line();
+    EXPECT_NE(line.find(all), std::string::npos) << line;
+    EXPECT_EQ(line.find(" p1:"), std::string::npos) << line;
+  }
+
+  const fleet::Fleet soaked(fleet::parse_fleet_config(
+      "clients=4;flows=40;servers=3;vantages=2;arrival=10;soak=2s:none",
+      error));
+  ASSERT_TRUE(error.empty()) << error;
+  (void)sweep(soaked, 2);
+  const std::string line = soaked.heartbeat_line();
+  EXPECT_NE(line.find("| p0:"), std::string::npos) << line;
+  EXPECT_NE(line.find(" p1:"), std::string::npos) << line;
+  EXPECT_EQ(line.find("| p1:"), std::string::npos) << line;
 }
 
 TEST(Fleet, ReplayMatchesSweepSlot) {

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -578,40 +579,84 @@ TEST(SupervisorMerge, MissingShardLeavesLabeledHoles) {
   EXPECT_NE(rep.render().find("PARTIAL COVERAGE"), std::string::npos);
 }
 
-TEST(SupervisorMerge, RebuildTelemetryMatchesLiveCounters) {
-  const fleet::FleetConfig cfg = small_fleet();
-  const fleet::Fleet fl(cfg);
-  TempDir dir("test_supervisor_merge_rebuild.tmp");
-  obs::MetricsRegistry live;
-  {
-    obs::ScopedMetricsRegistry scope(&live);
-    supervisor::FleetShardOptions opt;
-    opt.cfg = cfg;
-    opt.resume_dir = dir.path;
-    opt.shard = 0;
-    opt.shards = 1;
-    ASSERT_EQ(supervisor::run_shard_child(opt), 0);
+/// Every fleet.* counter of a snapshot, zero-valued ones included.
+std::map<std::string, u64> fleet_counters(const obs::Snapshot& snap) {
+  std::map<std::string, u64> out;
+  for (const auto& [name, v] : snap.counters) {
+    if (name.rfind("fleet.", 0) == 0) out[name] = v;
   }
-  const auto merge = supervisor::merge_shard_stores(fl, dir.path, 1);
-  ASSERT_EQ(merge.missing, 0u);
+  return out;
+}
 
-  obs::MetricsRegistry rebuilt;
-  obs::Timeline tl{SimTime::from_ms(500)};
-  {
-    obs::ScopedMetricsRegistry scope(&rebuilt);
-    fl.rebuild_telemetry(merge.slots, &tl);
+/// Canonical text of a timeline's fleet.* series.
+std::string fleet_series(const obs::Timeline& tl) {
+  std::string out;
+  for (const auto& [key, series] : tl.series()) {
+    if (key.name.rfind("fleet.", 0) != 0) continue;
+    out += key.name;
+    for (const auto& [k, v] : key.labels) out += " " + k + "=" + v;
+    out += std::string(" ") + obs::to_string(series.kind) + "\n";
+    for (const auto& [bucket, v] : series.buckets) {
+      out += "  " + std::to_string(bucket) + ": " + std::to_string(v.sum) +
+             " " + std::to_string(v.count) + " " + std::to_string(v.min) +
+             " " + std::to_string(v.max) + "\n";
+    }
   }
-  EXPECT_EQ(rebuilt.counter("fleet.flows").value(), fl.grid().total());
-  EXPECT_FALSE(tl.empty());
-  // Every fleet.* counter the live sweep published must be recounted
-  // exactly — including zero-valued ones, so metric snapshots stay
-  // byte-identical across the supervised and unsharded paths.
-  for (const char* name :
-       {"fleet.flows", "fleet.flow_success", "fleet.flow_failure1",
-        "fleet.flow_failure2", "fleet.flow_trial_error", "fleet.cache_hit",
-        "fleet.cross_client_supply", "fleet.fresh_session"}) {
-    EXPECT_EQ(rebuilt.counter(name).value(), live.counter(name).value())
-        << name;
+  return out;
+}
+
+TEST(SupervisorMerge, RebuildTelemetryMatchesLiveCounters) {
+  for (const char* share : {"shared", "per-client", "cold"}) {
+    SCOPED_TRACE(share);
+    std::string error;
+    // A soak boundary mid-sweep puts flows in share.p0.* and share.p1.*.
+    const fleet::FleetConfig cfg = fleet::parse_fleet_config(
+        std::string("clients=3;flows=12;servers=3;vantages=2;arrival=40;"
+                    "churn=0.1;soak=150ms:rst-storm;share=") +
+            share,
+        error);
+    ASSERT_TRUE(error.empty()) << error;
+    const fleet::Fleet fl(cfg);
+    TempDir dir("test_supervisor_merge_rebuild.tmp");
+    obs::MetricsRegistry live;
+    obs::Timeline live_tl{SimTime::from_ms(100)};
+    {
+      obs::ScopedMetricsRegistry scope(&live);
+      obs::ScopedTimeline tl_scope(&live_tl);
+      supervisor::FleetShardOptions opt;
+      opt.cfg = cfg;
+      opt.resume_dir = dir.path;
+      opt.shard = 0;
+      opt.shards = 1;
+      ASSERT_EQ(supervisor::run_shard_child(opt), 0);
+    }
+    const auto merge = supervisor::merge_shard_stores(fl, dir.path, 1);
+    ASSERT_EQ(merge.missing, 0u);
+
+    obs::MetricsRegistry rebuilt;
+    obs::Timeline tl{SimTime::from_ms(100)};
+    {
+      obs::ScopedMetricsRegistry scope(&rebuilt);
+      fl.rebuild_telemetry(merge.slots, &tl);
+    }
+    EXPECT_EQ(rebuilt.counter("fleet.flows").value(), fl.grid().total());
+    EXPECT_FALSE(tl.empty());
+    // Every fleet.* counter either path published — zero-valued ones,
+    // fleet.pick.* and fleet.share.pN.* included — must match exactly, so
+    // metric snapshots stay byte-identical across the supervised and
+    // unsharded paths.
+    const auto live_counters = fleet_counters(live.snapshot());
+    EXPECT_EQ(fleet_counters(rebuilt.snapshot()), live_counters);
+    EXPECT_EQ(live_counters.count("fleet.fresh_session"), 1u);
+    bool p0 = false, p1 = false, pick = false;
+    for (const auto& [name, v] : live_counters) {
+      p0 = p0 || name.rfind("fleet.share.p0.", 0) == 0;
+      p1 = p1 || name.rfind("fleet.share.p1.", 0) == 0;
+      pick = pick || name.rfind("fleet.pick.", 0) == 0;
+    }
+    EXPECT_TRUE(p0 && p1 && pick);
+    EXPECT_EQ(fleet_series(tl), fleet_series(live_tl));
+    EXPECT_NE(fleet_series(tl).find("fleet.flow_index"), std::string::npos);
   }
 }
 

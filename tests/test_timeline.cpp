@@ -241,19 +241,9 @@ FleetSweep run_fleet_sweep(const fleet::FleetConfig& cfg, int jobs) {
   obs::ScopedMetricsRegistry metrics_scope(&local);
   {
     ScopedTimeline scope(&out.tl);
-    const runner::TrialGrid grid = fl.grid();
-    std::vector<std::unique_ptr<fleet::Fleet::VantageState>> states;
-    states.reserve(grid.chains());
-    for (std::size_t ch = 0; ch < grid.chains(); ++ch) {
-      states.push_back(fl.make_vantage_state(ch));
-    }
     runner::PoolOptions pool;
     pool.jobs = jobs;
-    (void)runner::collect_grid_or(
-        grid, pool, static_cast<i64>(-1),
-        [&](const runner::GridCoord& c, runner::TaskContext&) {
-          return fl.run_flow(c, *states[grid.chain(c)]).encode();
-        });
+    (void)fl.sweep(pool);
     fl.annotate_timeline(&out.tl);
   }
   const obs::Snapshot snap = local.snapshot();
@@ -433,6 +423,37 @@ TEST(Heartbeat, NoLineAfterRunReturns) {
   EXPECT_EQ(captured.find("[perf]", sentinel), std::string::npos)
       << "heartbeat line written after run_grid returned:\n"
       << captured;
+}
+
+// A chained grid's pool task is a whole chain, but its heartbeat counts
+// trials: total is grid.total() and the done counts only grow.
+TEST(Heartbeat, ChainedGridCountsTrials) {
+  runner::TrialGrid grid;
+  grid.vantages = 3;
+  grid.trials = 15;
+  grid.chain_trials = true;
+  std::vector<std::pair<u64, std::size_t>> beats;
+  runner::PoolOptions pool;
+  pool.jobs = 2;
+  pool.heartbeat_seconds = 0.001;
+  pool.heartbeat_quiet = true;
+  // Fired on the monitor thread only, which run_grid joins before it
+  // returns.
+  pool.heartbeat_sink = [&beats](u64 done, std::size_t total) {
+    beats.emplace_back(done, total);
+  };
+  runner::run_grid(grid, pool, [](const runner::GridCoord&,
+                                  runner::TaskContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  ASSERT_FALSE(beats.empty());
+  u64 last = 0;
+  for (const auto& [done, total] : beats) {
+    EXPECT_EQ(total, grid.total());
+    EXPECT_GE(done, last);
+    EXPECT_LE(done, grid.total());
+    last = done;
+  }
 }
 
 }  // namespace

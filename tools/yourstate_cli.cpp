@@ -1087,14 +1087,8 @@ int cmd_fleet(const CliOptions& cli) {
   if (cli.supervise || cli.shards > 1) return cmd_fleet_supervised(cli, cfg);
 
   const fleet::Fleet fl(cfg);
-  const runner::TrialGrid grid = fl.grid();
   std::printf("fleet: %s\n\n", cfg.summary().c_str());
 
-  std::vector<std::unique_ptr<fleet::Fleet::VantageState>> states;
-  states.reserve(grid.chains());
-  for (std::size_t ch = 0; ch < grid.chains(); ++ch) {
-    states.push_back(fl.make_vantage_state(ch));
-  }
   runner::PoolOptions pool;
   pool.jobs = cli.jobs;
 
@@ -1107,11 +1101,7 @@ int cmd_fleet(const CliOptions& cli) {
         std::max(1, cli.timeline_bucket_ms)));
     timeline_scope.emplace(&*timeline);
   }
-  auto out = runner::collect_grid_or(
-      grid, pool, static_cast<i64>(-1),
-      [&](const runner::GridCoord& c, runner::TaskContext&) {
-        return fl.run_flow(c, *states[grid.chain(c)]).encode();
-      });
+  auto out = fl.sweep(pool);
   out.report.publish(obs::MetricsRegistry::global());
   if (timeline.has_value()) {
     fl.annotate_timeline(&*timeline);
