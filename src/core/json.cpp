@@ -1,7 +1,11 @@
 #include "core/json.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+
+#include "core/types.h"
 
 namespace ys::json {
 
@@ -193,6 +197,41 @@ class Parser {
 
 std::optional<Value> parse(std::string_view text) {
   return Parser(text).run();
+}
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  if (v == static_cast<double>(static_cast<i64>(v)) && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
 }
 
 }  // namespace ys::json

@@ -1,10 +1,11 @@
-// Minimal recursive-descent JSON reader.
+// Minimal recursive-descent JSON reader, plus the one string escaper and
+// number formatter every JSON exporter in the tree writes with.
 //
-// Exists so tools/trace_lint and the trace round-trip tests can validate
-// exported Chrome trace-event files without an external dependency. Reads
-// the full JSON grammar (objects, arrays, strings with escapes, numbers,
-// bool, null); numbers are held as double, which is exact for every id the
-// tracer emits (< 2^53).
+// The reader exists so tools/trace_lint and the trace round-trip tests can
+// validate exported Chrome trace-event files without an external
+// dependency. It reads the full JSON grammar (objects, arrays, strings with
+// escapes, numbers, bool, null); numbers are held as double, which is exact
+// for every id the tracer emits (< 2^53).
 #pragma once
 
 #include <map>
@@ -39,5 +40,13 @@ struct Value {
 /// Parse a complete JSON document. std::nullopt on any syntax error or
 /// trailing garbage.
 std::optional<Value> parse(std::string_view text);
+
+/// `s` escaped for the inside of a JSON string literal (no quotes added):
+/// \" \\ \n \r \t, and \u00XX for every other byte below 0x20.
+std::string escape(std::string_view s);
+
+/// `v` as a JSON number: integral values below 1e15 without a fraction,
+/// others as %.17g (round-trips); NaN and infinities as null.
+std::string number(double v);
 
 }  // namespace ys::json

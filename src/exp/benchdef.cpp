@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "netsim/pcap.h"
-#include "obs/trace_export.h"
 
 namespace ys::exp {
 
@@ -73,80 +71,64 @@ faults::FaultPlan parse_scale_plan(const std::string& spec) {
   return plan;
 }
 
-/// Traced run of one prepared scenario: capture, run, render, attribute.
-Replay traced_run(Scenario& sc, const HttpTrialOptions& http,
-                  const std::string& trace_path,
-                  const std::string& pcap_path) {
-  net::PcapWriter writer;
-  if (!pcap_path.empty()) {
-    if (auto st = writer.open(pcap_path); st.ok()) {
-      sc.path().set_client_capture(
-          [&writer](const net::Packet& pkt, SimTime at) {
-            (void)writer.write(pkt, at);
-          });
-    } else {
-      std::fprintf(stderr, "pcap: %s\n", st.error().message.c_str());
-    }
-  }
-
-  Replay replay;
-  replay.result = run_http_trial(sc, http);
-  replay.old_model = sc.path_runs_old_model();
-  replay.ladder = sc.trace().render();
-  replay.attribution =
-      attribute_verdict(sc.trace(), replay.result.outcome, replay.old_model);
-  if (!trace_path.empty()) {
-    if (!obs::write_chrome_trace(trace_path, sc.trace())) {
-      std::fprintf(stderr, "cannot write trace file %s\n", trace_path.c_str());
-    }
-  }
-  return replay;
-}
-
-/// DNS variant of traced_run; only the outcome slot of Replay::result is
-/// meaningful.
-Replay traced_dns_run(Scenario& sc, const DnsTrialOptions& dns,
-                      const std::string& trace_path,
-                      const std::string& pcap_path) {
-  net::PcapWriter writer;
-  if (!pcap_path.empty()) {
-    if (auto st = writer.open(pcap_path); st.ok()) {
-      sc.path().set_client_capture(
-          [&writer](const net::Packet& pkt, SimTime at) {
-            (void)writer.write(pkt, at);
-          });
-    } else {
-      std::fprintf(stderr, "pcap: %s\n", st.error().message.c_str());
-    }
-  }
-
-  Replay replay;
-  replay.result.outcome = run_dns_trial(sc, dns).outcome;
-  replay.old_model = sc.path_runs_old_model();
-  replay.ladder = sc.trace().render();
-  replay.attribution =
-      attribute_verdict(sc.trace(), replay.result.outcome, replay.old_model);
-  if (!trace_path.empty()) {
-    if (!obs::write_chrome_trace(trace_path, sc.trace())) {
-      std::fprintf(stderr, "cannot write trace file %s\n", trace_path.c_str());
-    }
-  }
-  return replay;
+/// The probe fetch of every HTTP bench row: under INTANG against `selector`
+/// when set, otherwise under the fixed `strategy`.
+HttpTrialOptions fetch(bool keyword, strategy::StrategyId strategy,
+                       intang::StrategySelector* selector) {
+  HttpTrialOptions http;
+  http.with_keyword = keyword;
+  http.strategy = strategy;
+  http.use_intang = selector != nullptr;
+  http.shared_selector = selector;
+  return http;
 }
 
 }  // namespace
 
-// ------------------------------------------------------------- Table 1
+// ----------------------------------------------------------- bench world
 
-Table1Bench::Table1Bench(BenchScale scale)
-    : scale_(scale),
+BenchWorld::BenchWorld(BenchScale scale)
+    : BenchWorld(scale, make_server_population(scale.servers, scale.seed,
+                                               Calibration::standard(),
+                                               /*inside_china=*/true)) {}
+
+BenchWorld::BenchWorld(BenchScale scale, std::vector<ServerSpec> servers)
+    : scale_(std::move(scale)),
       cal_(Calibration::standard()),
       rules_(gfw::DetectionRules::standard()),
       vps_(china_vantage_points()),
-      servers_(make_server_population(scale_.servers, scale_.seed, cal_,
-                                      /*inside_china=*/true)),
+      servers_(std::move(servers)),
       plan_(parse_scale_plan(scale_.faults)),
       profiles_(vps_, servers_, cal_) {}
+
+ScenarioOptions BenchWorld::scenario_options(
+    std::size_t vantage, std::size_t server, u64 seed, bool tracing,
+    const faults::FaultPlan& plan) const {
+  ScenarioOptions opt;
+  opt.vp = vps_[vantage];
+  opt.server = servers_[server];
+  opt.cal = cal_;
+  opt.seed = seed;
+  opt.profile = profiles_.get(vantage, server);
+  opt.tracing = tracing;
+  if (!plan.empty()) opt.faults = &plan;
+  return opt;
+}
+
+TrialResult BenchWorld::run_http(HttpTrial trial) const {
+  Scenario sc(&rules_, std::move(trial.scenario));
+  return run_http_trial(sc, trial.http);
+}
+
+Replay BenchWorld::replay_http(HttpTrial trial, const std::string& trace_path,
+                               const std::string& pcap_path) const {
+  Scenario sc(&rules_, std::move(trial.scenario));
+  return run_traced(
+      sc, [&trial](Scenario& s) { return run_http_trial(s, trial.http); },
+      trace_path, pcap_path);
+}
+
+// ------------------------------------------------------------- Table 1
 
 runner::TrialGrid Table1Bench::grid() const {
   runner::TrialGrid grid;
@@ -157,59 +139,28 @@ runner::TrialGrid Table1Bench::grid() const {
   return grid;
 }
 
-u64 Table1Bench::trial_seed(const runner::GridCoord& c) const {
-  return Rng::mix_seed({scale_.seed,
-                        static_cast<u64>(rows()[row_of(c.cell)].id),
-                        Rng::hash_label(vps_[c.vantage].name),
-                        servers_[c.server].ip, static_cast<u64>(c.trial),
-                        keyword_cell(c.cell) ? 1u : 0u});
-}
-
-ScenarioOptions Table1Bench::options_for(const runner::GridCoord& c,
-                                         bool tracing) const {
-  ScenarioOptions opt;
-  opt.vp = vps_[c.vantage];
-  opt.server = servers_[c.server];
-  opt.cal = cal_;
-  opt.seed = trial_seed(c);
-  opt.profile = profiles_.get(c.vantage, c.server);
-  opt.tracing = tracing;
-  if (!plan_.empty()) opt.faults = &plan_;
-  return opt;
+BenchWorld::HttpTrial Table1Bench::trial_for(const runner::GridCoord& c,
+                                             bool tracing) const {
+  const strategy::StrategyId id = rows()[row_of(c.cell)].id;
+  const u64 seed = Rng::mix_seed(
+      {scale_.seed, static_cast<u64>(id), Rng::hash_label(vps_[c.vantage].name),
+       servers_[c.server].ip, static_cast<u64>(c.trial),
+       keyword_cell(c.cell) ? 1u : 0u});
+  return {scenario_options(c.vantage, c.server, seed, tracing, plan_),
+          fetch(keyword_cell(c.cell), id, nullptr)};
 }
 
 TrialResult Table1Bench::run_trial(const runner::GridCoord& c) const {
-  Scenario sc(&rules_, options_for(c, /*tracing=*/false));
-  HttpTrialOptions http;
-  http.with_keyword = keyword_cell(c.cell);
-  http.strategy = rows()[row_of(c.cell)].id;
-  return run_http_trial(sc, http);
+  return run_http(trial_for(c, /*tracing=*/false));
 }
 
 Replay Table1Bench::replay(const runner::GridCoord& c,
                            const std::string& trace_path,
                            const std::string& pcap_path) const {
-  Scenario sc(&rules_, options_for(c, /*tracing=*/true));
-  HttpTrialOptions http;
-  http.with_keyword = keyword_cell(c.cell);
-  http.strategy = rows()[row_of(c.cell)].id;
-  return traced_run(sc, http, trace_path, pcap_path);
+  return replay_http(trial_for(c, /*tracing=*/true), trace_path, pcap_path);
 }
 
 // ------------------------------------------------------------- Table 4
-
-Table4Inside::Table4Inside(BenchScale scale)
-    : scale_(scale),
-      cal_(Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
-      vps_(china_vantage_points()),
-      servers_(make_server_population(scale_.servers, scale_.seed, cal_,
-                                      /*inside_china=*/true)),
-      plan_(parse_scale_plan(scale_.faults)),
-      // Batched scenario construction: path profiles are route properties,
-      // drawn once per (vantage, server) pair and shared by every trial's
-      // scenario instead of being re-drawn per task.
-      profiles_(vps_, servers_, cal_) {}
 
 runner::TrialGrid Table4Inside::fixed_grid() const {
   runner::TrialGrid grid;
@@ -229,96 +180,60 @@ runner::TrialGrid Table4Inside::intang_grid() const {
   return grid;
 }
 
-u64 Table4Inside::fixed_seed(const runner::GridCoord& c) const {
-  return Rng::mix_seed({scale_.seed,
-                        static_cast<u64>(rows()[c.cell].id),
-                        Rng::hash_label(vps_[c.vantage].name),
-                        servers_[c.server].ip, static_cast<u64>(c.trial)});
+BenchWorld::HttpTrial Table4Inside::fixed_trial(const runner::GridCoord& c,
+                                                bool tracing) const {
+  const strategy::StrategyId id = rows()[c.cell].id;
+  const u64 seed = Rng::mix_seed({scale_.seed, static_cast<u64>(id),
+                                  Rng::hash_label(vps_[c.vantage].name),
+                                  servers_[c.server].ip,
+                                  static_cast<u64>(c.trial)});
+  return {scenario_options(c.vantage, c.server, seed, tracing, plan_),
+          fetch(/*keyword=*/true, id, nullptr)};
 }
 
-u64 Table4Inside::intang_seed(const runner::GridCoord& c) const {
-  return Rng::mix_seed({scale_.seed, 0x1474a6ULL,
-                        Rng::hash_label(vps_[c.vantage].name),
-                        servers_[c.server].ip, static_cast<u64>(c.trial)});
-}
-
-ScenarioOptions Table4Inside::options_for(const runner::GridCoord& c,
-                                          u64 trial_seed,
-                                          bool tracing) const {
-  ScenarioOptions opt;
-  opt.vp = vps_[c.vantage];
-  opt.server = servers_[c.server];
-  opt.cal = cal_;
-  opt.seed = trial_seed;
-  opt.profile = profiles_.get(c.vantage, c.server);
-  opt.tracing = tracing;
-  if (!plan_.empty()) opt.faults = &plan_;
-  return opt;
+BenchWorld::HttpTrial Table4Inside::intang_trial(
+    const runner::GridCoord& c, intang::StrategySelector& selector,
+    bool tracing) const {
+  const u64 seed = Rng::mix_seed({scale_.seed, 0x1474a6ULL,
+                                  Rng::hash_label(vps_[c.vantage].name),
+                                  servers_[c.server].ip,
+                                  static_cast<u64>(c.trial)});
+  return {scenario_options(c.vantage, c.server, seed, tracing, plan_),
+          fetch(/*keyword=*/true, strategy::StrategyId::kNone, &selector)};
 }
 
 TrialResult Table4Inside::run_fixed(const runner::GridCoord& c) const {
-  Scenario sc(&rules_, options_for(c, fixed_seed(c), /*tracing=*/false));
-  HttpTrialOptions http;
-  http.with_keyword = true;
-  http.strategy = rows()[c.cell].id;
-  return run_http_trial(sc, http);
+  return run_http(fixed_trial(c, /*tracing=*/false));
 }
 
 TrialResult Table4Inside::run_intang(const runner::GridCoord& c,
                                      intang::StrategySelector& selector) const {
-  Scenario sc(&rules_, options_for(c, intang_seed(c), /*tracing=*/false));
-  HttpTrialOptions http;
-  http.with_keyword = true;
-  http.use_intang = true;
-  http.shared_selector = &selector;
-  return run_http_trial(sc, http);
+  return run_http(intang_trial(c, selector, /*tracing=*/false));
 }
 
 Replay Table4Inside::replay_fixed(const runner::GridCoord& c,
                                   const std::string& trace_path,
                                   const std::string& pcap_path) const {
-  Scenario sc(&rules_, options_for(c, fixed_seed(c), /*tracing=*/true));
-  HttpTrialOptions http;
-  http.with_keyword = true;
-  http.strategy = rows()[c.cell].id;
-  return traced_run(sc, http, trace_path, pcap_path);
+  return replay_http(fixed_trial(c, /*tracing=*/true), trace_path, pcap_path);
 }
 
 Replay Table4Inside::replay_intang(const runner::GridCoord& c,
                                    const std::string& trace_path,
                                    const std::string& pcap_path) const {
-  // Rebuild the chain's selector knowledge: the grid runs trials of one
-  // (vantage, server) chain in ascending order against one selector, so an
-  // identical prefix replay puts the selector in the identical state.
   intang::StrategySelector selector{intang::StrategySelector::Config{}};
-  for (std::size_t t = 0; t < c.trial; ++t) {
-    runner::GridCoord prefix = c;
-    prefix.trial = t;
-    (void)run_intang(prefix, selector);
-  }
-
-  Scenario sc(&rules_, options_for(c, intang_seed(c), /*tracing=*/true));
-  HttpTrialOptions http;
-  http.with_keyword = true;
-  http.use_intang = true;
-  http.shared_selector = &selector;
-  return traced_run(sc, http, trace_path, pcap_path);
+  replay_chain_prefix(c, selector, [this](const auto& p, auto& s) {
+    return run_intang(p, s);
+  });
+  return replay_http(intang_trial(c, selector, /*tracing=*/true), trace_path,
+                     pcap_path);
 }
+
+// -------------------------------------------------------------- Faults
 
 FaultsBench::FaultsBench(BenchScale scale)
-    : scale_(scale),
-      cal_(Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
-      vps_(china_vantage_points()),
-      servers_(make_server_population(scale_.servers, scale_.seed, cal_,
-                                      /*inside_china=*/true)),
-      profiles_(vps_, servers_, cal_) {
-  if (scale_.faults.empty()) {
-    plans_ = faults::shipped_fault_plans();
-  } else {
-    plans_.push_back(parse_scale_plan(scale_.faults));
-  }
-}
+    : BenchWorld(std::move(scale)),
+      plans_(scale_.faults.empty() ? faults::shipped_fault_plans()
+                                   : std::vector<faults::FaultPlan>{plan_}) {}
 
 runner::TrialGrid FaultsBench::grid() const {
   runner::TrialGrid grid;
@@ -330,62 +245,40 @@ runner::TrialGrid FaultsBench::grid() const {
   return grid;
 }
 
-u64 FaultsBench::trial_seed(const runner::GridCoord& c) const {
-  return Rng::mix_seed({scale_.seed, 0xFA0175ULL, static_cast<u64>(c.cell),
-                        Rng::hash_label(vps_[c.vantage].name),
-                        servers_[c.server].ip, static_cast<u64>(c.trial)});
-}
-
-ScenarioOptions FaultsBench::options_for(const runner::GridCoord& c,
-                                         bool tracing) const {
-  ScenarioOptions opt;
-  opt.vp = vps_[c.vantage];
-  opt.server = servers_[c.server];
-  opt.cal = cal_;
-  opt.seed = trial_seed(c);
-  opt.profile = profiles_.get(c.vantage, c.server);
-  opt.tracing = tracing;
-  const faults::FaultPlan& plan = plans_[plan_of(c.cell)];
-  if (!plan.empty()) opt.faults = &plan;
+BenchWorld::HttpTrial FaultsBench::trial_for(
+    const runner::GridCoord& c, intang::StrategySelector& selector,
+    bool tracing) const {
+  const u64 seed = Rng::mix_seed({scale_.seed, 0xFA0175ULL,
+                                  static_cast<u64>(c.cell),
+                                  Rng::hash_label(vps_[c.vantage].name),
+                                  servers_[c.server].ip,
+                                  static_cast<u64>(c.trial)});
+  // Baseline cells never touch the selector.
+  HttpTrial trial{scenario_options(c.vantage, c.server, seed, tracing,
+                                   plans_[plan_of(c.cell)]),
+                  fetch(/*keyword=*/true, strategy::StrategyId::kNone,
+                        intang_cell(c.cell) ? &selector : nullptr)};
   // Generous virtual-time deadline: honest trials quiesce in simulated
   // seconds, so only a trial a fault plan wedged (e.g. a reorder loop that
   // keeps re-arming timers) hits this and becomes kTrialError.
-  opt.deadline = SimTime::from_sec(120);
-  return opt;
+  trial.scenario.deadline = SimTime::from_sec(120);
+  return trial;
 }
 
 TrialResult FaultsBench::run_trial(const runner::GridCoord& c,
                                    intang::StrategySelector& selector) const {
-  Scenario sc(&rules_, options_for(c, /*tracing=*/false));
-  HttpTrialOptions http;
-  http.with_keyword = true;
-  if (intang_cell(c.cell)) {
-    http.use_intang = true;
-    http.shared_selector = &selector;
-  }
-  return run_http_trial(sc, http);
+  return run_http(trial_for(c, selector, /*tracing=*/false));
 }
 
 Replay FaultsBench::replay(const runner::GridCoord& c,
                            const std::string& trace_path,
                            const std::string& pcap_path) const {
-  // Rebuild the chain's selector knowledge (no-op for baseline cells —
-  // their trials never touch the selector).
   intang::StrategySelector selector{intang::StrategySelector::Config{}};
-  for (std::size_t t = 0; t < c.trial; ++t) {
-    runner::GridCoord prefix = c;
-    prefix.trial = t;
-    (void)run_trial(prefix, selector);
-  }
-
-  Scenario sc(&rules_, options_for(c, /*tracing=*/true));
-  HttpTrialOptions http;
-  http.with_keyword = true;
-  if (intang_cell(c.cell)) {
-    http.use_intang = true;
-    http.shared_selector = &selector;
-  }
-  return traced_run(sc, http, trace_path, pcap_path);
+  replay_chain_prefix(c, selector, [this](const auto& p, auto& s) {
+    return run_trial(p, s);
+  });
+  return replay_http(trial_for(c, selector, /*tracing=*/true), trace_path,
+                     pcap_path);
 }
 
 // ------------------------------------------------------------- Table 6
@@ -401,12 +294,7 @@ const std::array<Table6Dns::Resolver, 3>& Table6Dns::resolvers() {
 }
 
 Table6Dns::Table6Dns(BenchScale scale)
-    : scale_(scale),
-      cal_(Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
-      uncensored_(gfw::DetectionRules::standard()),
-      vps_(china_vantage_points()),
-      servers_([] {
+    : BenchWorld(std::move(scale), [] {
         std::vector<ServerSpec> specs;
         for (const Resolver& r : resolvers()) {
           ServerSpec spec;
@@ -417,8 +305,7 @@ Table6Dns::Table6Dns(BenchScale scale)
         }
         return specs;
       }()),
-      plan_(parse_scale_plan(scale_.faults)),
-      profiles_(vps_, servers_, cal_) {
+      uncensored_(rules_) {
   uncensored_.dns_blacklist.clear();  // OpenDNS paths: no DNS censorship
 }
 
@@ -431,69 +318,60 @@ runner::TrialGrid Table6Dns::grid() const {
   return grid;
 }
 
-u64 Table6Dns::query_seed(const runner::GridCoord& c) const {
-  return Rng::mix_seed({scale_.seed, resolvers()[c.cell].ip,
-                        Rng::hash_label(vps_[c.vantage].name),
-                        static_cast<u64>(c.trial)});
-}
-
-ScenarioOptions Table6Dns::options_for(const runner::GridCoord& c,
-                                       bool tracing) const {
-  ScenarioOptions opt;
-  opt.vp = vps_[c.vantage];
-  opt.server = servers_[c.cell];
-  opt.cal = cal_;
-  opt.seed = query_seed(c);
+Table6Dns::Query Table6Dns::query_for(const runner::GridCoord& c,
+                                      intang::StrategySelector& selector,
+                                      bool tracing) const {
+  const Resolver& resolver = resolvers()[c.cell];
+  const u64 seed =
+      Rng::mix_seed({scale_.seed, resolver.ip,
+                     Rng::hash_label(vps_[c.vantage].name),
+                     static_cast<u64>(c.trial)});
   // The resolver is the cell axis (grids here have servers = 1), so the
   // pooled profile is indexed by (vantage, resolver).
-  opt.profile = profiles_.get(c.vantage, c.cell);
-  opt.tracing = tracing;
+  Query q{resolver.censored ? &rules_ : &uncensored_,
+          scenario_options(c.vantage, c.cell, seed, tracing, plan_),
+          {}};
   // Tianjin's resolver paths suffer stateful interference that blackholes
   // a large share of the TCP DNS flows (Table 6).
-  Rng interference(Rng::mix_seed({opt.seed, 0xd45ULL}));
-  opt.extra_stateful_client_box =
-      opt.vp.dns_path_interference &&
+  Rng interference(Rng::mix_seed({seed, 0xd45ULL}));
+  q.scenario.extra_stateful_client_box =
+      q.scenario.vp.dns_path_interference &&
       interference.chance(cal_.tianjin_dns_interference);
-  if (!plan_.empty()) opt.faults = &plan_;
-  return opt;
+  q.dns.domain = "www.dropbox.com";
+  q.dns.resolver_ip = resolver.ip;
+  // The OpenDNS row runs bare UDP and never touches the selector.
+  q.dns.use_intang = resolver.censored;
+  q.dns.strategy = strategy::StrategyId::kImprovedTeardown;
+  q.dns.shared_selector = resolver.censored ? &selector : nullptr;
+  return q;
 }
 
 DnsTrialResult Table6Dns::run_query(const runner::GridCoord& c,
                                     intang::StrategySelector& selector) const {
-  const Resolver& resolver = resolvers()[c.cell];
-  Scenario sc(resolver.censored ? &rules_ : &uncensored_,
-              options_for(c, /*tracing=*/false));
-  DnsTrialOptions dns;
-  dns.domain = "www.dropbox.com";
-  dns.resolver_ip = resolver.ip;
-  dns.use_intang = resolver.censored;  // OpenDNS row runs bare UDP
-  dns.strategy = strategy::StrategyId::kImprovedTeardown;
-  dns.shared_selector = resolver.censored ? &selector : nullptr;
-  return run_dns_trial(sc, dns);
+  Query q = query_for(c, selector, /*tracing=*/false);
+  Scenario sc(q.rules, std::move(q.scenario));
+  return run_dns_trial(sc, q.dns);
 }
 
 Replay Table6Dns::replay(const runner::GridCoord& c,
                          const std::string& trace_path,
                          const std::string& pcap_path) const {
-  // Rebuild the chain's selector knowledge (no-op for the OpenDNS cell —
-  // its queries never touch the selector).
   intang::StrategySelector selector{intang::StrategySelector::Config{}};
-  for (std::size_t t = 0; t < c.trial; ++t) {
-    runner::GridCoord prefix = c;
-    prefix.trial = t;
-    (void)run_query(prefix, selector);
-  }
-
-  const Resolver& resolver = resolvers()[c.cell];
-  Scenario sc(resolver.censored ? &rules_ : &uncensored_,
-              options_for(c, /*tracing=*/true));
-  DnsTrialOptions dns;
-  dns.domain = "www.dropbox.com";
-  dns.resolver_ip = resolver.ip;
-  dns.use_intang = resolver.censored;
-  dns.strategy = strategy::StrategyId::kImprovedTeardown;
-  dns.shared_selector = resolver.censored ? &selector : nullptr;
-  return traced_dns_run(sc, dns, trace_path, pcap_path);
+  replay_chain_prefix(c, selector, [this](const auto& p, auto& s) {
+    return run_query(p, s);
+  });
+  Query q = query_for(c, selector, /*tracing=*/true);
+  Scenario sc(q.rules, std::move(q.scenario));
+  return run_traced(
+      sc,
+      [&q](Scenario& s) {
+        const DnsTrialResult dns = run_dns_trial(s, q.dns);
+        TrialResult result;
+        result.outcome = dns.outcome;
+        result.strategy_used = dns.strategy_used;
+        return result;
+      },
+      trace_path, pcap_path);
 }
 
 const std::vector<std::string>& known_benches() {

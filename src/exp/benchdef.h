@@ -11,6 +11,7 @@
 
 #include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/explain.h"
@@ -34,18 +35,64 @@ struct BenchScale {
   std::string faults;
 };
 
-/// One traced re-run of a grid coordinate.
-struct Replay {
-  TrialResult result;
-  std::string ladder;       ///< rendered text trace
-  Attribution attribution;  ///< causal verdict attribution
-  bool old_model = false;   ///< the path ran the prior GFW model
+/// Replay a chained coordinate's prefix: run trials 0..c.trial-1 of c's
+/// chain untraced, in the order the grid ran them, as `run(prefix, state)`.
+/// The chain contract then leaves `state` exactly as the grid had it when
+/// it reached `c`.
+template <class State, class RunTrial>
+void replay_chain_prefix(const runner::GridCoord& c, State& state,
+                         RunTrial&& run) {
+  runner::GridCoord prefix = c;
+  for (prefix.trial = 0; prefix.trial < c.trial; ++prefix.trial) {
+    (void)run(prefix, state);
+  }
+}
+
+/// What every paper bench shares: its scale, calibration, detection rules,
+/// vantage points, server population, fault plan and pooled path profiles,
+/// plus the one ScenarioOptions builder their trials are built from.
+class BenchWorld {
+ public:
+  const BenchScale& scale() const { return scale_; }
+  const std::vector<VantagePoint>& vantage_points() const { return vps_; }
+  const std::vector<ServerSpec>& server_population() const { return servers_; }
+
+ protected:
+  /// The scale's seeded inside-China server population.
+  explicit BenchWorld(BenchScale scale);
+  BenchWorld(BenchScale scale, std::vector<ServerSpec> servers);
+
+  /// Options of one trial toward `servers_[server]` from `vps_[vantage]`
+  /// under `plan` (empty = fault-free).
+  ScenarioOptions scenario_options(std::size_t vantage, std::size_t server,
+                                   u64 seed, bool tracing,
+                                   const faults::FaultPlan& plan) const;
+
+  /// One HTTP trial of a bench row, built in one place for both its
+  /// untraced grid run (run_http) and its traced replay (replay_http).
+  struct HttpTrial {
+    ScenarioOptions scenario;
+    HttpTrialOptions http;
+  };
+  TrialResult run_http(HttpTrial trial) const;
+  Replay replay_http(HttpTrial trial, const std::string& trace_path,
+                     const std::string& pcap_path) const;
+
+  BenchScale scale_;
+  Calibration cal_;
+  gfw::DetectionRules rules_;
+  std::vector<VantagePoint> vps_;
+  std::vector<ServerSpec> servers_;
+  faults::FaultPlan plan_;  // parsed from scale_.faults; empty when unset
+  /// Batched scenario construction: path profiles are route properties,
+  /// drawn once per (vantage, server) pair and shared by every trial.
+  PathProfileCache profiles_;
 };
 
 /// Table 1: every *existing* evasion strategy against today's GFW, with
 /// and without a sensitive keyword. Cell layout: cell = row * 2 +
 /// (keyword ? 0 : 1), matching bench_table1's historical order.
-class Table1Bench {
+class Table1Bench : public BenchWorld {
  public:
   struct Row {
     strategy::StrategyId id;
@@ -54,11 +101,7 @@ class Table1Bench {
   };
   static const std::array<Row, 16>& rows();
 
-  explicit Table1Bench(BenchScale scale);
-
-  const BenchScale& scale() const { return scale_; }
-  const std::vector<VantagePoint>& vantage_points() const { return vps_; }
-  const std::vector<ServerSpec>& server_population() const { return servers_; }
+  explicit Table1Bench(BenchScale scale) : BenchWorld(std::move(scale)) {}
 
   std::size_t row_of(std::size_t cell) const { return cell / 2; }
   bool keyword_cell(std::size_t cell) const { return cell % 2 == 0; }
@@ -74,21 +117,12 @@ class Table1Bench {
                 const std::string& pcap_path = {}) const;
 
  private:
-  ScenarioOptions options_for(const runner::GridCoord& c, bool tracing) const;
-  u64 trial_seed(const runner::GridCoord& c) const;
-
-  BenchScale scale_;
-  Calibration cal_;
-  gfw::DetectionRules rules_;
-  std::vector<VantagePoint> vps_;
-  std::vector<ServerSpec> servers_;
-  faults::FaultPlan plan_;
-  PathProfileCache profiles_;
+  HttpTrial trial_for(const runner::GridCoord& c, bool tracing) const;
 };
 
 /// The inside-China direction of Table 4: fixed-strategy rows plus the
 /// INTANG adaptive row. Owns the populations and seed formulas.
-class Table4Inside {
+class Table4Inside : public BenchWorld {
  public:
   struct Row {
     strategy::StrategyId id;
@@ -100,12 +134,7 @@ class Table4Inside {
   /// Paper average success rate of the INTANG row (98.3 %).
   static constexpr double kIntangPaperSuccess = 0.983;
 
-  explicit Table4Inside(BenchScale scale);
-
-  const BenchScale& scale() const { return scale_; }
-  const std::vector<VantagePoint>& vantage_points() const { return vps_; }
-  const std::vector<ServerSpec>& server_population() const { return servers_; }
-  const gfw::DetectionRules& rules() const { return rules_; }
+  explicit Table4Inside(BenchScale scale) : BenchWorld(std::move(scale)) {}
 
   /// Grid over the fixed-strategy rows (cell = row index).
   runner::TrialGrid fixed_grid() const;
@@ -133,25 +162,17 @@ class Table4Inside {
                        const std::string& pcap_path = {}) const;
 
  private:
-  ScenarioOptions options_for(const runner::GridCoord& c, u64 trial_seed,
-                              bool tracing) const;
-  u64 fixed_seed(const runner::GridCoord& c) const;
-  u64 intang_seed(const runner::GridCoord& c) const;
-
-  BenchScale scale_;
-  Calibration cal_;
-  gfw::DetectionRules rules_;
-  std::vector<VantagePoint> vps_;
-  std::vector<ServerSpec> servers_;
-  faults::FaultPlan plan_;  // parsed from scale_.faults; empty when unset
-  PathProfileCache profiles_;
+  HttpTrial fixed_trial(const runner::GridCoord& c, bool tracing) const;
+  HttpTrial intang_trial(const runner::GridCoord& c,
+                         intang::StrategySelector& selector,
+                         bool tracing) const;
 };
 
 /// Table 6: TCP DNS censorship evasion (§7.2) — INTANG's DNS forwarder
 /// toward Dyn's public resolvers, plus the uncensored OpenDNS anecdote
 /// row. The query axis is chained: one persistent selector per
 /// (resolver, vantage point) converges on the resolver path's strategy.
-class Table6Dns {
+class Table6Dns : public BenchWorld {
  public:
   struct Resolver {
     const char* label;
@@ -162,8 +183,6 @@ class Table6Dns {
 
   explicit Table6Dns(BenchScale scale);
 
-  const BenchScale& scale() const { return scale_; }
-  const std::vector<VantagePoint>& vantage_points() const { return vps_; }
   /// One ServerSpec per resolver (the grid's cell axis, not its server
   /// axis — grids here have servers=1).
   const std::vector<ServerSpec>& resolver_specs() const { return servers_; }
@@ -177,22 +196,22 @@ class Table6Dns {
                            intang::StrategySelector& selector) const;
 
   /// Traced deterministic re-run (chain prefix replayed untraced first).
-  /// Only Replay::result.outcome is meaningful for a DNS trial.
+  /// Replay::result carries the query's outcome and the strategy INTANG
+  /// armed for its forwarder connection.
   Replay replay(const runner::GridCoord& c, const std::string& trace_path = {},
                 const std::string& pcap_path = {}) const;
 
  private:
-  ScenarioOptions options_for(const runner::GridCoord& c, bool tracing) const;
-  u64 query_seed(const runner::GridCoord& c) const;
+  /// One query, built in one place for its grid run and its replay.
+  struct Query {
+    const gfw::DetectionRules* rules;
+    ScenarioOptions scenario;
+    DnsTrialOptions dns;
+  };
+  Query query_for(const runner::GridCoord& c,
+                  intang::StrategySelector& selector, bool tracing) const;
 
-  BenchScale scale_;
-  Calibration cal_;
-  gfw::DetectionRules rules_;
   gfw::DetectionRules uncensored_;
-  std::vector<VantagePoint> vps_;
-  std::vector<ServerSpec> servers_;
-  faults::FaultPlan plan_;
-  PathProfileCache profiles_;
 };
 
 /// The robustness bench behind bench_faults and `yourstate faults`: every
@@ -204,16 +223,13 @@ class Table6Dns {
 /// Cell layout: cell = plan_index * 2 + (INTANG ? 1 : 0). The grid is
 /// chained — the INTANG cells accumulate selector state along the trial
 /// axis, and chaining the baseline cells too costs nothing.
-class FaultsBench {
+class FaultsBench : public BenchWorld {
  public:
   /// With scale.faults empty, runs every shipped plan; otherwise only the
   /// given plan.
   explicit FaultsBench(BenchScale scale);
 
-  const BenchScale& scale() const { return scale_; }
   const std::vector<faults::FaultPlan>& plans() const { return plans_; }
-  const std::vector<VantagePoint>& vantage_points() const { return vps_; }
-  const std::vector<ServerSpec>& server_population() const { return servers_; }
 
   std::size_t plan_of(std::size_t cell) const { return cell / 2; }
   bool intang_cell(std::size_t cell) const { return cell % 2 == 1; }
@@ -231,16 +247,10 @@ class FaultsBench {
                 const std::string& pcap_path = {}) const;
 
  private:
-  ScenarioOptions options_for(const runner::GridCoord& c, bool tracing) const;
-  u64 trial_seed(const runner::GridCoord& c) const;
+  HttpTrial trial_for(const runner::GridCoord& c,
+                      intang::StrategySelector& selector, bool tracing) const;
 
-  BenchScale scale_;
-  Calibration cal_;
-  gfw::DetectionRules rules_;
-  std::vector<VantagePoint> vps_;
-  std::vector<ServerSpec> servers_;
   std::vector<faults::FaultPlan> plans_;
-  PathProfileCache profiles_;
 };
 
 /// Bench names `yourstate explain --bench=` accepts.

@@ -1,6 +1,10 @@
 #include "exp/explain.h"
 
+#include <cstdio>
 #include <unordered_map>
+
+#include "netsim/pcap.h"
+#include "obs/trace_export.h"
 
 namespace ys::exp {
 
@@ -296,6 +300,36 @@ Attribution attribute_verdict(const obs::TraceRecorder& trace,
   Attribution out = classify(ix, outcome, old_model);
   attribute_faults(ix, out);
   return out;
+}
+
+Replay run_traced(Scenario& sc,
+                  const std::function<TrialResult(Scenario&)>& body,
+                  const std::string& trace_path, const std::string& pcap_path) {
+  net::PcapWriter writer;
+  if (!pcap_path.empty()) {
+    if (auto st = writer.open(pcap_path); st.ok()) {
+      sc.path().set_client_capture(
+          [&writer](const net::Packet& pkt, SimTime at) {
+            (void)writer.write(pkt, at);
+          });
+    } else {
+      std::fprintf(stderr, "pcap: %s\n", st.error().message.c_str());
+    }
+  }
+
+  Replay replay;
+  replay.result = body(sc);
+  sc.path().set_client_capture({});  // the capture must not outlive `writer`
+  replay.old_model = sc.path_runs_old_model();
+  replay.ladder = sc.trace().render();
+  replay.attribution =
+      attribute_verdict(sc.trace(), replay.result.outcome, replay.old_model);
+  if (!trace_path.empty()) {
+    if (!obs::write_chrome_trace(trace_path, sc.trace())) {
+      std::fprintf(stderr, "cannot write trace file %s\n", trace_path.c_str());
+    }
+  }
+  return replay;
 }
 
 }  // namespace ys::exp

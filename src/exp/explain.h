@@ -7,9 +7,11 @@
 // which selector/strategy decision crafted that packet.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "exp/scenario.h"
 #include "exp/trial.h"
 #include "obs/trace.h"
 
@@ -44,5 +46,23 @@ struct Attribution {
 /// wording for success stories with no explicit state event.
 Attribution attribute_verdict(const obs::TraceRecorder& trace,
                               Outcome outcome, bool old_model);
+
+/// One traced re-run of a grid coordinate.
+struct Replay {
+  TrialResult result;
+  std::string ladder;       ///< rendered text trace
+  Attribution attribution;  ///< causal verdict attribution
+  bool old_model = false;   ///< the path ran the prior GFW model
+};
+
+/// The one traced-replay harness behind every bench's replay, the fleet's
+/// replay_flow and the search engine's replay: attach the client wire
+/// capture to `pcap_path` (when non-empty), run `body` on `sc` (built with
+/// tracing on), render the ladder, attribute the verdict, and write the
+/// Chrome trace to `trace_path` (when non-empty). Capture and trace-file
+/// failures are warned about on stderr, not fatal.
+Replay run_traced(Scenario& sc,
+                  const std::function<TrialResult(Scenario&)>& body,
+                  const std::string& trace_path, const std::string& pcap_path);
 
 }  // namespace ys::exp

@@ -319,6 +319,14 @@ DnsTrialResult run_dns_trial(Scenario& scenario, const DnsTrialOptions& opt) {
     result.outcome = Outcome::kTrialError;
     result.answered = false;
   }
+  if (evasion.intang) {
+    const intang::DnsForwarder* fwd = evasion.intang->dns_forwarder();
+    if (fwd != nullptr && fwd->connection() != nullptr) {
+      if (auto id = evasion.intang->strategy_for(fwd->connection()->tuple())) {
+        result.strategy_used = *id;
+      }
+    }
+  }
   count_outcome("dns", result.outcome, opt.strategy,
                 scenario.loop().now() - scenario.options().start_time,
                 scenario.loop().now());

@@ -83,6 +83,9 @@ struct DnsTrialResult {
   bool answered = false;
   bool poisoned = false;       // first answer was a forged/bogus address
   Outcome outcome = Outcome::kFailure1;
+  /// The strategy INTANG armed for the forwarder's TCP connection; kNone
+  /// for a bare UDP query.
+  strategy::StrategyId strategy_used = strategy::StrategyId::kNone;
 };
 
 /// One §7.2 probe: resolve a censored domain. Without INTANG the UDP query

@@ -4,12 +4,10 @@
 #include <cstdio>
 
 #include "exp/table.h"
-#include "netsim/pcap.h"
 #include "obs/metrics.h"
 #include "obs/phase_profiler.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "obs/trace_export.h"
 #include "runner/results_store.h"
 
 namespace ys::fleet {
@@ -164,7 +162,7 @@ exp::ScenarioOptions Fleet::options_for(const runner::GridCoord& c,
 
 Fleet::FlowRecord Fleet::run_flow(const runner::GridCoord& c,
                                   VantageState& state) const {
-  return run_flow_impl(c, state, /*tracing=*/false, nullptr, {}, {});
+  return run_flow_impl(c, state, nullptr, {}, {});
 }
 
 runner::GridOutcome<i64> Fleet::sweep(
@@ -268,7 +266,7 @@ void Fleet::publish_flow(const FlowRecord& rec, const FlowSpec& flow,
 }
 
 Fleet::FlowRecord Fleet::run_flow_impl(const runner::GridCoord& c,
-                                       VantageState& state, bool tracing,
+                                       VantageState& state,
                                        exp::Replay* replay,
                                        const std::string& trace_path,
                                        const std::string& pcap_path) const {
@@ -299,31 +297,41 @@ Fleet::FlowRecord Fleet::run_flow_impl(const runner::GridCoord& c,
   const int writer_before =
       state.writer[static_cast<std::size_t>(flow.server)];
 
-  exp::Scenario sc(&rules_, options_for(c, flow, tracing));
-
-  net::PcapWriter writer;
-  if (tracing && !pcap_path.empty()) {
-    if (auto st = writer.open(pcap_path); st.ok()) {
-      sc.path().set_client_capture(
-          [&writer](const net::Packet& pkt, SimTime at) {
-            (void)writer.write(pkt, at);
-          });
-    } else {
-      std::fprintf(stderr, "pcap: %s\n", st.error().message.c_str());
-    }
-  }
-
+  exp::Scenario sc(&rules_, options_for(c, flow, replay != nullptr));
   exp::HttpTrialOptions http;
   http.with_keyword = true;
   http.use_intang = true;
   http.shared_selector = selector;  // nullptr in cold mode = fresh per flow
-  const exp::TrialResult result = exp::run_http_trial(sc, http);
 
   FlowRecord rec;
-  rec.outcome = result.outcome;
-  rec.strategy = result.strategy_used;
-  rec.source = result.pick_source ? static_cast<int>(*result.pick_source) : -1;
-  if (is_cache_source(rec.source)) rec.supplier = writer_before;
+  const auto body = [&](exp::Scenario& s) {
+    const exp::TrialResult result = exp::run_http_trial(s, http);
+    rec.outcome = result.outcome;
+    rec.strategy = result.strategy_used;
+    rec.source =
+        result.pick_source ? static_cast<int>(*result.pick_source) : -1;
+    if (is_cache_source(rec.source)) rec.supplier = writer_before;
+    // A replay attributes the pick to its supplier in the trace, causally
+    // linked to the selector's decision event so `yourstate explain`
+    // renders the supply chain.
+    if (replay != nullptr && rec.supplier >= 0) {
+      const FlowSpec& sup =
+          state.schedule[static_cast<std::size_t>(rec.supplier)];
+      s.trace().note(
+          s.loop().now(), "fleet", obs::TraceKind::kDecision,
+          "cache entry for " +
+              servers_[static_cast<std::size_t>(flow.server)].host +
+              " was supplied by flow #" + std::to_string(rec.supplier) +
+              " (client " + std::to_string(sup.client) + ")",
+          s.trace().last_decision());
+    }
+    return result;
+  };
+  if (replay == nullptr) {
+    (void)body(sc);
+  } else {
+    *replay = exp::run_traced(sc, body, trace_path, pcap_path);
+  }
 
   // This flow becomes the supplier of later hits on its server if it
   // succeeded with an actual strategy (kNone successes prove the plain
@@ -348,52 +356,18 @@ Fleet::FlowRecord Fleet::run_flow_impl(const runner::GridCoord& c,
   const std::size_t live_phase = std::min<std::size_t>(
       static_cast<std::size_t>(flow.soak_phase + 1), kMaxLivePhases - 1);
   live_.phase_flows[live_phase].fetch_add(1, std::memory_order_relaxed);
-
-  if (tracing && replay != nullptr) {
-    // Attribute the pick to its supplier in the trace, causally linked to
-    // the selector's decision event so `yourstate explain` renders the
-    // supply chain.
-    if (rec.supplier >= 0) {
-      const FlowSpec& sup =
-          state.schedule[static_cast<std::size_t>(rec.supplier)];
-      sc.trace().note(
-          sc.loop().now(), "fleet", obs::TraceKind::kDecision,
-          "cache entry for " + servers_[static_cast<std::size_t>(flow.server)]
-                  .host +
-              " was supplied by flow #" + std::to_string(rec.supplier) +
-              " (client " + std::to_string(sup.client) + ")",
-          sc.trace().last_decision());
-    }
-    replay->result = result;
-    replay->old_model = sc.path_runs_old_model();
-    replay->ladder = sc.trace().render();
-    replay->attribution = exp::attribute_verdict(sc.trace(), result.outcome,
-                                                 replay->old_model);
-    if (!trace_path.empty()) {
-      if (!obs::write_chrome_trace(trace_path, sc.trace())) {
-        std::fprintf(stderr, "cannot write trace file %s\n",
-                     trace_path.c_str());
-      }
-    }
-  }
   return rec;
 }
 
 exp::Replay Fleet::replay_flow(const runner::GridCoord& c,
                                const std::string& trace_path,
                                const std::string& pcap_path) const {
-  // Rebuild the vantage chain up to the target flow: same schedule, same
-  // stores, same writers — the chain contract makes the prefix identical
-  // to what the sweep executed.
   auto state = make_vantage_state(c.vantage);
-  for (std::size_t t = 0; t < c.trial; ++t) {
-    runner::GridCoord prefix = c;
-    prefix.trial = t;
-    (void)run_flow(prefix, *state);
-  }
+  exp::replay_chain_prefix(c, *state, [this](const auto& p, auto& s) {
+    return run_flow(p, s);
+  });
   exp::Replay replay;
-  (void)run_flow_impl(c, *state, /*tracing=*/true, &replay, trace_path,
-                      pcap_path);
+  (void)run_flow_impl(c, *state, &replay, trace_path, pcap_path);
   return replay;
 }
 

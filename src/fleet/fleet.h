@@ -224,9 +224,10 @@ class Fleet {
                     const std::vector<FlowSpec>& schedule,
                     const std::map<std::string, std::string>& labels,
                     obs::Timeline* tl) const;
+  /// run_flow's body; with `replay` set, the flow runs traced through
+  /// exp::run_traced and fills it.
   FlowRecord run_flow_impl(const runner::GridCoord& c, VantageState& state,
-                           bool tracing, exp::Replay* replay,
-                           const std::string& trace_path,
+                           exp::Replay* replay, const std::string& trace_path,
                            const std::string& pcap_path) const;
   exp::ScenarioOptions options_for(const runner::GridCoord& c,
                                    const FlowSpec& flow, bool tracing) const;

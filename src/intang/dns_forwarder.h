@@ -27,6 +27,10 @@ class DnsForwarder {
   /// passes.
   tcp::Host::Verdict intercept(const net::Packet& pkt);
 
+  /// The forwarder's latest TCP connection to the resolver (nullptr
+  /// before the first query).
+  const tcp::TcpEndpoint* connection() const { return conn_; }
+
   int queries_converted() const { return converted_; }
   int responses_returned() const { return returned_; }
 

@@ -1,50 +1,10 @@
 #include "obs/export.h"
 
-#include <cmath>
 #include <cstdio>
 
+#include "core/json.h"
+
 namespace ys::obs {
-
-namespace {
-
-/// Shortest round-trippable rendering of a double that is valid JSON (no
-/// bare "inf"/"nan"; those become null, which JSON consumers can detect).
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  // %.17g round-trips but is ugly for the common integral values.
-  if (v == static_cast<double>(static_cast<i64>(v)) &&
-      std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string to_table(const Snapshot& snap) {
   std::string out;
@@ -77,7 +37,7 @@ std::string to_json(const Snapshot& snap) {
   for (const auto& [name, value] : snap.counters) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) +
+    out += "    \"" + json::escape(name) +
            "\": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -87,7 +47,7 @@ std::string to_json(const Snapshot& snap) {
   for (const auto& [name, value] : snap.gauges) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) + "\": " + json_number(value);
+    out += "    \"" + json::escape(name) + "\": " + json::number(value);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -96,10 +56,10 @@ std::string to_json(const Snapshot& snap) {
   for (const auto& [name, h] : snap.histograms) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) + "\": {\"bounds\": [";
+    out += "    \"" + json::escape(name) + "\": {\"bounds\": [";
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       if (i > 0) out += ", ";
-      out += json_number(h.bounds[i]);
+      out += json::number(h.bounds[i]);
     }
     out += "], \"counts\": [";
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
@@ -107,7 +67,7 @@ std::string to_json(const Snapshot& snap) {
       out += std::to_string(h.counts[i]);
     }
     out += "], \"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + json_number(h.sum) + "}";
+           ", \"sum\": " + json::number(h.sum) + "}";
   }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";

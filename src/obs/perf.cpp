@@ -14,39 +14,6 @@ namespace ys::obs::perf {
 
 namespace {
 
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  if (v == static_cast<double>(static_cast<i64>(v)) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 const char* direction_name(Direction d) {
   switch (d) {
     case Direction::kHigherIsBetter: return "higher";
@@ -159,14 +126,14 @@ BenchReport make_report(const std::string& name) {
 std::string BenchReport::to_json() const {
   std::string out = "{\n";
   out += "  \"schema\": " + std::to_string(schema) + ",\n";
-  out += "  \"name\": \"" + json_escape(name) + "\",\n";
+  out += "  \"name\": \"" + json::escape(name) + "\",\n";
 
   out += "  \"env\": {";
   bool first = true;
   for (const auto& [k, v] : env) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(k) + "\": \"" + json_escape(v) + "\"";
+    out += "    \"" + json::escape(k) + "\": \"" + json::escape(v) + "\"";
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -175,19 +142,19 @@ std::string BenchReport::to_json() const {
   for (const auto& [k, v] : config) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(k) + "\": " + json_number(v);
+    out += "    \"" + json::escape(k) + "\": " + json::number(v);
   }
   out += first ? "},\n" : "\n  },\n";
 
-  out += "  \"wall_seconds\": " + json_number(wall_seconds) + ",\n";
+  out += "  \"wall_seconds\": " + json::number(wall_seconds) + ",\n";
 
   out += "  \"metrics\": {";
   first = true;
   for (const auto& [k, m] : metrics) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(k) + "\": {\"value\": " +
-           json_number(m.value) + ", \"unit\": \"" + json_escape(m.unit) +
+    out += "    \"" + json::escape(k) + "\": {\"value\": " +
+           json::number(m.value) + ", \"unit\": \"" + json::escape(m.unit) +
            "\", \"better\": \"" + direction_name(m.direction) + "\"}";
   }
   out += first ? "},\n" : "\n  },\n";
@@ -197,9 +164,9 @@ std::string BenchReport::to_json() const {
   for (const auto& p : phases) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + json_escape(p.name) +
+    out += "    {\"name\": \"" + json::escape(p.name) +
            "\", \"count\": " + std::to_string(p.count) +
-           ", \"wall_us\": " + json_number(p.wall_us) + "}";
+           ", \"wall_us\": " + json::number(p.wall_us) + "}";
   }
   out += first ? "],\n" : "\n  ],\n";
 
@@ -411,19 +378,19 @@ std::string DiffResult::to_json() const {
   out += "  \"env_mismatches\": [";
   for (std::size_t i = 0; i < env_mismatches.size(); ++i) {
     if (i != 0) out += ", ";
-    out += "\"" + json_escape(env_mismatches[i]) + "\"";
+    out += "\"" + json::escape(env_mismatches[i]) + "\"";
   }
   out += "],\n";
   out += "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const DiffRow& row = rows[i];
-    out += "    {\"metric\": \"" + json_escape(row.metric) + "\", \"unit\": \"" +
-           json_escape(row.unit) + "\", \"direction\": \"" +
+    out += "    {\"metric\": \"" + json::escape(row.metric) + "\", \"unit\": \"" +
+           json::escape(row.unit) + "\", \"direction\": \"" +
            direction_name(row.direction) + "\", \"old\": " +
-           json_number(row.old_value) + ", \"new\": " +
-           json_number(row.new_value) + ", \"delta\": " +
-           json_number(row.delta) + ", \"tolerance\": " +
-           json_number(row.tolerance) + ", \"status\": \"" +
+           json::number(row.old_value) + ", \"new\": " +
+           json::number(row.new_value) + ", \"delta\": " +
+           json::number(row.delta) + ", \"tolerance\": " +
+           json::number(row.tolerance) + ", \"status\": \"" +
            to_string(row.status) + "\"}";
     out += i + 1 < rows.size() ? ",\n" : "\n";
   }

@@ -11,29 +11,6 @@ namespace ys::obs {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void append_labels_json(std::string& out, const TimelineLabels& labels) {
   out += '{';
   bool first = true;
@@ -41,9 +18,9 @@ void append_labels_json(std::string& out, const TimelineLabels& labels) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(k);
+    out += json::escape(k);
     out += "\":\"";
-    out += json_escape(v);
+    out += json::escape(v);
     out += '"';
   }
   out += '}';
@@ -100,7 +77,7 @@ std::string timeline_to_json(const Timeline& tl) {
     if (!first_series) out += ',';
     first_series = false;
     out += "{\"name\":\"";
-    out += json_escape(key.name);
+    out += json::escape(key.name);
     out += "\",\"labels\":";
     append_labels_json(out, key.labels);
     out += ",\"kind\":\"";
@@ -132,9 +109,9 @@ std::string timeline_to_json(const Timeline& tl) {
     out += "{\"bucket\":";
     append_i64(out, a.bucket);
     out += ",\"category\":\"";
-    out += json_escape(a.category);
+    out += json::escape(a.category);
     out += "\",\"text\":\"";
-    out += json_escape(a.text);
+    out += json::escape(a.text);
     out += "\"}";
   }
   out += "]}\n";

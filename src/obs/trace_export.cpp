@@ -5,32 +5,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/json.h"
+
 namespace ys::obs {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void append_kv(std::string& out, const char* key, u64 v, bool* first) {
   if (!*first) out += ',';
@@ -48,7 +27,7 @@ void append_kv(std::string& out, const char* key, const std::string& v,
   out += '"';
   out += key;
   out += "\":";
-  append_escaped(out, v);
+  out += '"' + json::escape(v) + '"';
 }
 
 }  // namespace
@@ -89,7 +68,7 @@ std::string to_chrome_trace(const TraceRecorder& trace) {
                   "\"name\":\"thread_name\",\"args\":{\"name\":",
                   static_cast<unsigned long long>(i + 1));
     out += buf;
-    append_escaped(out, actors[i]);
+    out += '"' + json::escape(actors[i]) + '"';
     out += "}}";
   }
 
@@ -108,7 +87,7 @@ std::string to_chrome_trace(const TraceRecorder& trace) {
                   static_cast<long long>(ev.at.us));
     out += buf;
     out += "\"cat\":\"trace\",\"name\":";
-    append_escaped(out, name);
+    out += '"' + json::escape(name) + '"';
     out += ",\"args\":{";
     bool first = true;
     append_kv(out, "id", ev.id, &first);

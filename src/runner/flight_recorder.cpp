@@ -5,6 +5,7 @@
 
 #include "core/log.h"
 #include "obs/metrics.h"
+#include "obs/timeline.h"
 
 namespace ys::runner {
 
@@ -50,7 +51,14 @@ void FlightRecorder::record(const GridCoord& c, const std::string& why) {
   const std::string stem = artifact_stem(c);
   archive.trace_path = stem + ".trace.json";
   archive.pcap_path = stem + ".pcap";
-  archive.summary = replay_(c, archive.trace_path, archive.pcap_path);
+  {
+    // The replay re-runs grid trials (a chained coordinate's prefix too):
+    // its counters and timeline series must not count as the bench's.
+    obs::MetricsRegistry scratch;
+    obs::ScopedMetricsRegistry metrics_scope(&scratch);
+    obs::ScopedTimeline timeline_scope(nullptr);
+    archive.summary = replay_(c, archive.trace_path, archive.pcap_path);
+  }
   obs::MetricsRegistry::current()
       .counter("runner.flight_recorder.archived")
       .inc();

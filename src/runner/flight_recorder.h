@@ -63,7 +63,9 @@ class FlightRecorder {
                   double success_rate, const GridCoord& example);
 
   /// Unconditionally archive one trial (caller saw something unexpected,
-  /// e.g. an impossible failure class).
+  /// e.g. an impossible failure class). The replay runs under a scratch
+  /// metrics registry with no timeline: only
+  /// runner.flight_recorder.archived reaches the caller's telemetry.
   void record(const GridCoord& c, const std::string& why);
 
   struct Archive {

@@ -10,9 +10,7 @@
 
 #include "exp/stats.h"
 #include "exp/table.h"
-#include "netsim/pcap.h"
 #include "obs/timeline.h"
-#include "obs/trace_export.h"
 #include "runner/results_store.h"
 
 namespace ys::search {
@@ -144,36 +142,12 @@ exp::Replay SearchEngine::replay(const CandidateProgram& prog,
                                  const std::string& pcap_path) const {
   exp::Scenario sc(&rules_, options_for(prog, variant, server, trial,
                                         /*tracing=*/true));
-
-  net::PcapWriter writer;
-  if (!pcap_path.empty()) {
-    if (auto st = writer.open(pcap_path); st.ok()) {
-      sc.path().set_client_capture(
-          [&writer](const net::Packet& pkt, SimTime at) {
-            (void)writer.write(pkt, at);
-          });
-    } else {
-      std::fprintf(stderr, "pcap: %s\n", st.error().message.c_str());
-    }
-  }
-
   exp::HttpTrialOptions http;
   http.with_keyword = true;
   http.strategy_factory = [&prog] { return prog.make_strategy(); };
-
-  exp::Replay replay;
-  replay.result = exp::run_http_trial(sc, http);
-  replay.old_model = sc.path_runs_old_model();
-  replay.ladder = sc.trace().render();
-  replay.attribution = exp::attribute_verdict(sc.trace(),
-                                              replay.result.outcome,
-                                              replay.old_model);
-  if (!trace_path.empty()) {
-    if (!obs::write_chrome_trace(trace_path, sc.trace())) {
-      std::fprintf(stderr, "cannot write trace file %s\n", trace_path.c_str());
-    }
-  }
-  return replay;
+  return exp::run_traced(
+      sc, [&http](exp::Scenario& s) { return exp::run_http_trial(s, http); },
+      trace_path, pcap_path);
 }
 
 std::string SearchEngine::store_name(int generation) {

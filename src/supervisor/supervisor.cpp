@@ -16,6 +16,7 @@
 #include "core/clock.h"
 #include "core/log.h"
 #include "obs/timeline.h"
+#include "core/json.h"
 
 namespace ys::supervisor {
 
@@ -25,22 +26,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 /// Parent-side per-shard process state (pipe, partial line, deadlines).
@@ -159,7 +144,7 @@ std::string manifest_json(const SupervisorResult& result) {
                   e.shard, to_string(e.kind), e.attempt, e.at);
     out += buf;
     if (!e.detail.empty()) {
-      out += ",\"detail\":\"" + json_escape(e.detail) + "\"";
+      out += ",\"detail\":\"" + json::escape(e.detail) + "\"";
     }
     out += '}';
   }

@@ -1,11 +1,15 @@
 // Unit tests for the core utilities: checksums, byte I/O, RNG, virtual
-// time, results, hexdump, and the trace recorder.
+// time, results, hexdump, the trace recorder, and the JSON writers.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 #include "core/byte_io.h"
 #include "core/checksum.h"
 #include "core/clock.h"
 #include "core/hexdump.h"
+#include "core/json.h"
 #include "core/log.h"
 #include "core/result.h"
 #include "core/rng.h"
@@ -289,6 +293,33 @@ TEST(Log, SinkReceivesMessagesAboveLevel) {
   EXPECT_EQ(captured[0], "visible");
   Log::set_sink(nullptr);
   Log::set_level(LogLevel::kWarn);
+}
+
+// ----------------------------------------------------------------- json
+
+TEST(Json, EveryAsciiByteEscapesAndRoundTrips) {
+  for (int b = 0x01; b <= 0x7f; ++b) {
+    const std::string raw = std::string("a") + static_cast<char>(b) + "z";
+    const std::string escaped = json::escape(raw);
+    for (char c : escaped) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "byte " << b;
+    }
+    const auto doc = json::parse("\"" + escaped + "\"");
+    ASSERT_TRUE(doc.has_value()) << "byte " << b << ": " << escaped;
+    ASSERT_TRUE(doc->is_string());
+    EXPECT_EQ(doc->string, raw) << "byte " << b;
+  }
+  EXPECT_EQ(json::escape("\r\t\x01"), "\\r\\t\\u0001");
+}
+
+TEST(Json, NumberIsValidJson) {
+  EXPECT_EQ(json::number(42.0), "42");
+  EXPECT_EQ(json::number(-3.0), "-3");
+  EXPECT_EQ(json::number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json::number(std::nan("")), "null");
+  const auto doc = json::parse(json::number(0.1));
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->number, 0.1);
 }
 
 }  // namespace

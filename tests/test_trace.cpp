@@ -1,11 +1,15 @@
 // Structured causal tracing: golden traces per GFW model (causal links
 // from state transitions and injected resets back to their trigger
 // packets), verdict attribution, Chrome trace-export round-trip, and
-// flight-recorder replay determinism.
+// replay determinism (every bench definition's replay equals its grid slot)
+// and the flight recorder's telemetry isolation.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -14,13 +18,18 @@
 #include "exp/explain.h"
 #include "exp/scenario.h"
 #include "exp/trial.h"
+#include "fleet/fleet.h"
 #include "gfw/gfw_device.h"
 #include "netsim/event_loop.h"
 #include "netsim/path.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "obs/timeline.h"
 #include "obs/trace_export.h"
+#include "runner/flight_recorder.h"
+#include "runner/results_store.h"
 #include "runner/runner.h"
+#include "search/engine.h"
 
 namespace ys {
 namespace {
@@ -324,27 +333,172 @@ TEST(Export, RoundTrip) {
 
 // ------------------------------------------------------ replay determinism
 
-TEST(Trace, FlightReplayDeterministic) {
+/// One bench definition's replay check: the untraced --jobs=2 grid's slot
+/// at a trial >= 1 coordinate, and a traced replay of that coordinate.
+struct ReplayCase {
+  Outcome grid_outcome = Outcome::kTrialError;
+  /// Set where the grid records the strategy a trial used.
+  std::optional<strategy::StrategyId> grid_strategy;
+  std::function<Replay()> replay;
+};
+
+runner::PoolOptions two_jobs() {
+  runner::PoolOptions pool;
+  pool.jobs = 2;
+  return pool;
+}
+
+BenchScale replay_scale(int servers) {
   BenchScale scale;
   scale.trials = 2;
-  scale.servers = 2;
+  scale.servers = servers;
   scale.seed = 2017;
-  const Table4Inside bench(scale);
-  const runner::GridCoord c{0, 1, 0, 1};  // trial 1: exercises chain prefix
+  return scale;
+}
+
+/// Slot `c` of a selector-chained grid run untraced at --jobs=2.
+template <class Run>
+auto chained_slot(const runner::TrialGrid& grid, const runner::GridCoord& c,
+                  Run run) {
+  std::vector<intang::StrategySelector> selectors(
+      grid.chains(),
+      intang::StrategySelector{intang::StrategySelector::Config{}});
+  auto out = runner::collect_grid(
+      grid, two_jobs(),
+      [&](const runner::GridCoord& gc, runner::TaskContext&) {
+        return run(gc, selectors[grid.chain(gc)]);
+      });
+  return out.slots[grid.index(c)];
+}
+
+ReplayCase make_replay_case(const std::string& bench) {
+  if (bench == "table1") {
+    auto b = std::make_shared<const Table1Bench>(replay_scale(1));
+    const runner::GridCoord c{18, 1, 0, 1};  // teardown RST/TTL, keyword
+    const runner::TrialGrid grid = b->grid();
+    const TrialResult slot =
+        runner::collect_grid(grid, two_jobs(),
+                             [&](const runner::GridCoord& gc,
+                                 runner::TaskContext&) {
+                               return b->run_trial(gc);
+                             })
+            .slots[grid.index(c)];
+    return {slot.outcome, slot.strategy_used, [b, c] { return b->replay(c); }};
+  }
+  if (bench == "table4-inside") {
+    auto b = std::make_shared<const Table4Inside>(replay_scale(2));
+    const runner::GridCoord c{2, 0, 1, 1};
+    const runner::TrialGrid grid = b->fixed_grid();
+    const TrialResult slot =
+        runner::collect_grid(grid, two_jobs(),
+                             [&](const runner::GridCoord& gc,
+                                 runner::TaskContext&) {
+                               return b->run_fixed(gc);
+                             })
+            .slots[grid.index(c)];
+    return {slot.outcome, slot.strategy_used,
+            [b, c] { return b->replay_fixed(c); }};
+  }
+  if (bench == "table4-intang") {
+    auto b = std::make_shared<const Table4Inside>(replay_scale(2));
+    const runner::GridCoord c{0, 1, 0, 1};
+    const TrialResult slot = chained_slot(
+        b->intang_grid(), c,
+        [&](const runner::GridCoord& gc, intang::StrategySelector& sel) {
+          return b->run_intang(gc, sel);
+        });
+    return {slot.outcome, slot.strategy_used,
+            [b, c] { return b->replay_intang(c); }};
+  }
+  if (bench == "table6-dns") {
+    auto b = std::make_shared<const Table6Dns>(replay_scale(1));
+    const runner::GridCoord c{0, 0, 0, 1};  // Dyn 1: INTANG's forwarder
+    const DnsTrialResult slot = chained_slot(
+        b->grid(), c,
+        [&](const runner::GridCoord& gc, intang::StrategySelector& sel) {
+          return b->run_query(gc, sel);
+        });
+    EXPECT_NE(slot.strategy_used, strategy::StrategyId::kNone)
+        << "the forwarder's connection runs under an INTANG strategy";
+    return {slot.outcome, slot.strategy_used, [b, c] { return b->replay(c); }};
+  }
+  if (bench == "faults") {
+    BenchScale scale = replay_scale(2);
+    scale.faults = "loss-burst";
+    auto b = std::make_shared<const FaultsBench>(scale);
+    const runner::GridCoord c{1, 2, 1, 1};  // INTANG cell
+    const TrialResult slot = chained_slot(
+        b->grid(), c,
+        [&](const runner::GridCoord& gc, intang::StrategySelector& sel) {
+          return b->run_trial(gc, sel);
+        });
+    return {slot.outcome, slot.strategy_used, [b, c] { return b->replay(c); }};
+  }
+  if (bench == "fleet") {
+    std::string error;
+    auto fl = std::make_shared<const fleet::Fleet>(fleet::parse_fleet_config(
+        "clients=6;flows=48;servers=3;vantages=2;arrival=20;churn=0.1;"
+        "soak=500ms:rst-storm,1s:none",
+        error));
+    EXPECT_TRUE(error.empty()) << error;
+    const runner::GridCoord c{0, 1, 0, fl->grid().trials - 1};
+    const auto rec = fleet::Fleet::FlowRecord::decode(
+        fl->sweep(two_jobs()).slots[fl->grid().index(c)]);
+    return {rec.outcome, rec.strategy, [fl, c] { return fl->replay_flow(c); }};
+  }
+  // search: one program's evaluation grid, outcomes read back from the
+  // engine's results store.
+  search::SearchConfig cfg;
+  cfg.seed = 7;
+  cfg.servers = 2;
+  cfg.clean_trials = 1;
+  cfg.faulted_trials = 1;
+  cfg.jobs = 2;
+  auto engine = std::make_shared<const search::SearchEngine>(cfg);
+  const search::CandidateProgram prog = engine->initial_population().front();
+  const runner::GridCoord c{0, 1, 1, 1};  // variant 1, faulted trial
+  const runner::TrialGrid grid{1, cfg.variants.size(), 2, 2};
+  const std::string dir = "test_trace_search_replay.tmp";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  Outcome outcome = Outcome::kTrialError;
+  {
+    runner::ResultsStore store(dir, "replay", 1, grid.total());
+    (void)engine->evaluate({prog}, &store, nullptr);
+    outcome = static_cast<Outcome>(store.get(grid.index(c)).value_or(-1));
+  }
+  std::filesystem::remove_all(dir, ec);
+  return {outcome, std::nullopt, [engine, prog, c] {
+            return engine->replay(prog, c.vantage, c.server, c.trial);
+          }};
+}
+
+class TraceReplay : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TraceReplay, EqualsGridSlotAndIsDeterministic) {
+  const ReplayCase rc = make_replay_case(GetParam());
 
   obs::MetricsRegistry reg1;
   Replay r1;
   {
     obs::ScopedMetricsRegistry scope(&reg1);
-    r1 = bench.replay_intang(c);
+    r1 = rc.replay();
   }
   obs::MetricsRegistry reg2;
   Replay r2;
   {
     obs::ScopedMetricsRegistry scope(&reg2);
-    r2 = bench.replay_intang(c);
+    r2 = rc.replay();
+  }
+
+  // The replay reproduces the grid's trial (chain prefix included), and
+  // tracing cannot perturb it.
+  EXPECT_EQ(r1.result.outcome, rc.grid_outcome);
+  if (rc.grid_strategy) {
+    EXPECT_EQ(r1.result.strategy_used, *rc.grid_strategy);
   }
   EXPECT_EQ(r1.result.outcome, r2.result.outcome);
+  EXPECT_EQ(r1.result.strategy_used, r2.result.strategy_used);
   EXPECT_EQ(r1.ladder, r2.ladder);
   EXPECT_EQ(r1.attribution.verdict, r2.attribution.verdict);
   EXPECT_EQ(r1.attribution.decisive_event, r2.attribution.decisive_event);
@@ -352,41 +506,53 @@ TEST(Trace, FlightReplayDeterministic) {
       << "replay must reproduce the metrics, not just the outcome";
   EXPECT_FALSE(r1.ladder.empty());
   EXPECT_FALSE(r1.attribution.verdict.empty());
-
-  // The replayed outcome matches what the parallel grid run produced at
-  // the same coordinate (chain state reconstructed exactly).
-  const runner::TrialGrid igrid = bench.intang_grid();
-  std::vector<intang::StrategySelector> selectors(
-      igrid.chains(),
-      intang::StrategySelector{intang::StrategySelector::Config{}});
-  runner::PoolOptions popt;
-  popt.jobs = 2;
-  auto out = runner::collect_grid(
-      igrid, popt,
-      [&bench, &igrid, &selectors](const runner::GridCoord& gc,
-                                   runner::TaskContext&) {
-        return bench.run_intang(gc, selectors[igrid.chain(gc)]).outcome;
-      });
-  EXPECT_EQ(out.slots[igrid.index(c)], r1.result.outcome);
 }
 
-TEST(Trace, FixedReplayDeterministic) {
-  BenchScale scale;
-  scale.trials = 1;
-  scale.servers = 2;
-  scale.seed = 2017;
-  const Table4Inside bench(scale);
-  const runner::GridCoord c{2, 0, 1, 0};
+INSTANTIATE_TEST_SUITE_P(
+    Trace, TraceReplay,
+    ::testing::Values("table1", "table4-inside", "table4-intang",
+                      "table6-dns", "faults", "fleet", "search"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
-  const Replay r1 = bench.replay_fixed(c);
-  const Replay r2 = bench.replay_fixed(c);
-  EXPECT_EQ(r1.result.outcome, r2.result.outcome);
-  EXPECT_EQ(r1.ladder, r2.ladder);
-  EXPECT_EQ(r1.attribution.verdict, r2.attribution.verdict);
+TEST(FlightRecorder, RecordLeavesCallerTelemetryUntouched) {
+  const Table4Inside bench(replay_scale(2));
+  const std::string dir = "test_trace_flight.tmp";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  runner::FlightRecorderOptions opt;
+  opt.dir = dir;
+  opt.bench = "table4-intang";
+  runner::FlightRecorder recorder(
+      opt, [&bench](const runner::GridCoord& c, const std::string& trace,
+                    const std::string& pcap) {
+        return bench.replay_intang(c, trace, pcap).attribution.verdict;
+      });
 
-  // And it matches the untraced grid hot path: tracing cannot perturb.
-  const TrialResult untraced = bench.run_fixed(c);
-  EXPECT_EQ(untraced.outcome, r1.result.outcome);
+  obs::MetricsRegistry reg;
+  obs::Timeline timeline;
+  obs::ScopedMetricsRegistry scope(&reg);
+  obs::ScopedTimeline timeline_scope(&timeline);
+  reg.counter("exp.trial_total").inc(7);  // the bench's own grid trials
+  const std::map<std::string, u64> before = reg.snapshot().counters;
+
+  // Trial 1 of a chained cell: the replay runs the chain prefix too.
+  recorder.record({0, 1, 0, 1}, "anomaly");
+
+  std::map<std::string, u64> after = reg.snapshot().counters;
+  EXPECT_EQ(after["runner.flight_recorder.archived"], 1u);
+  after.erase("runner.flight_recorder.archived");
+  EXPECT_EQ(after, before);
+  EXPECT_TRUE(timeline.empty());
+  ASSERT_EQ(recorder.archives().size(), 1u);
+  EXPECT_FALSE(recorder.archives()[0].summary.empty());
+  EXPECT_TRUE(std::filesystem::exists(recorder.archives()[0].trace_path));
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

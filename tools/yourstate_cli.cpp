@@ -1114,6 +1114,22 @@ int cmd_fleet(const CliOptions& cli) {
   return 0;
 }
 
+/// `yourstate explain`'s bounds check: false, after a usage message that
+/// ends with `axes` (what the bench's axes mean), when `c` lies outside
+/// `grid`.
+bool coord_in_grid(const runner::GridCoord& c, const runner::TrialGrid& grid,
+                   const char* axes) {
+  if (c.cell < grid.cells && c.vantage < grid.vantages &&
+      c.server < grid.servers && c.trial < grid.trials) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "coordinate out of range: grid is cells=%zu vantages=%zu "
+               "servers=%zu trials=%zu%s\n",
+               grid.cells, grid.vantages, grid.servers, grid.trials, axes);
+  return false;
+}
+
 /// Replay one bench grid coordinate traced and attribute its verdict.
 int cmd_explain(const CliOptions& cli) {
   // "search" is CLI-side: ys::exp cannot depend on ys::search.
@@ -1168,18 +1184,10 @@ int cmd_explain(const CliOptions& cli) {
     if (cli.faulted_trials >= 0) cfg.faulted_trials = cli.faulted_trials;
     if (!cli.faults.empty()) cfg.fault_spec = cli.faults;
     const search::SearchEngine engine(cfg);
-    const std::size_t variants = cfg.variants.size();
-    const std::size_t trials = static_cast<std::size_t>(cfg.clean_trials) +
-                               static_cast<std::size_t>(cfg.faulted_trials);
-    if (coord.cell >= variants ||
-        coord.server >= static_cast<std::size_t>(cfg.servers) ||
-        coord.trial >= trials) {
-      std::fprintf(stderr,
-                   "coordinate out of range: grid is variants=%zu servers=%d "
-                   "trials=%zu (cell = GFW variant)\n",
-                   variants, cfg.servers, trials);
-      return 2;
-    }
+    const runner::TrialGrid grid{
+        cfg.variants.size(), 1, static_cast<std::size_t>(cfg.servers),
+        static_cast<std::size_t>(cfg.clean_trials + cfg.faulted_trials)};
+    if (!coord_in_grid(coord, grid, " (cell = GFW variant)")) return 2;
     replay = engine.replay(*prog, coord.cell, coord.server, coord.trial,
                            cli.trace_out, cli.pcap);
     vantage_name = cfg.variants[coord.cell].name;
@@ -1191,15 +1199,7 @@ int cmd_explain(const CliOptions& cli) {
             " program=" + prog->spec();
   } else if (is_faults) {
     const FaultsBench bench(scale);
-    const runner::TrialGrid grid = bench.grid();
-    if (coord.cell >= grid.cells || coord.vantage >= grid.vantages ||
-        coord.server >= grid.servers || coord.trial >= grid.trials) {
-      std::fprintf(stderr,
-                   "coordinate out of range: grid is cells=%zu vantages=%zu "
-                   "servers=%zu trials=%zu\n",
-                   grid.cells, grid.vantages, grid.servers, grid.trials);
-      return 2;
-    }
+    if (!coord_in_grid(coord, bench.grid(), "")) return 2;
     replay = bench.replay(coord, cli.trace_out, cli.pcap);
     vantage_name = bench.vantage_points()[coord.vantage].name;
     server_host = bench.server_population()[coord.server].host;
@@ -1207,15 +1207,7 @@ int cmd_explain(const CliOptions& cli) {
             (bench.intang_cell(coord.cell) ? " [intang]" : " [baseline]");
   } else if (cli.bench == "table1") {
     const Table1Bench bench(scale);
-    const runner::TrialGrid grid = bench.grid();
-    if (coord.cell >= grid.cells || coord.vantage >= grid.vantages ||
-        coord.server >= grid.servers || coord.trial >= grid.trials) {
-      std::fprintf(stderr,
-                   "coordinate out of range: grid is cells=%zu vantages=%zu "
-                   "servers=%zu trials=%zu\n",
-                   grid.cells, grid.vantages, grid.servers, grid.trials);
-      return 2;
-    }
+    if (!coord_in_grid(coord, bench.grid(), "")) return 2;
     replay = bench.replay(coord, cli.trace_out, cli.pcap);
     vantage_name = bench.vantage_points()[coord.vantage].name;
     server_host = bench.server_population()[coord.server].host;
@@ -1224,15 +1216,7 @@ int cmd_explain(const CliOptions& cli) {
             (bench.keyword_cell(coord.cell) ? " [keyword]" : " [no keyword]");
   } else if (cli.bench == "table6-dns") {
     const Table6Dns bench(scale);
-    const runner::TrialGrid grid = bench.grid();
-    if (coord.cell >= grid.cells || coord.vantage >= grid.vantages ||
-        coord.server >= grid.servers || coord.trial >= grid.trials) {
-      std::fprintf(stderr,
-                   "coordinate out of range: grid is cells=%zu vantages=%zu "
-                   "servers=%zu trials=%zu (cell = resolver)\n",
-                   grid.cells, grid.vantages, grid.servers, grid.trials);
-      return 2;
-    }
+    if (!coord_in_grid(coord, bench.grid(), " (cell = resolver)")) return 2;
     replay = bench.replay(coord, cli.trace_out, cli.pcap);
     vantage_name = bench.vantage_points()[coord.vantage].name;
     const Table6Dns::Resolver& res = Table6Dns::resolvers()[coord.cell];
@@ -1249,14 +1233,9 @@ int cmd_explain(const CliOptions& cli) {
     if (cli.seed != 1) fcfg.seed = cli.seed;
     scale.seed = fcfg.seed;  // header shows the seed the flow actually used
     const fleet::Fleet bench(fcfg);
-    const runner::TrialGrid grid = bench.grid();
-    if (coord.cell >= grid.cells || coord.vantage >= grid.vantages ||
-        coord.server >= grid.servers || coord.trial >= grid.trials) {
-      std::fprintf(stderr,
-                   "coordinate out of range: grid is cells=%zu vantages=%zu "
-                   "servers=%zu trials=%zu (trial = flow index; pass the "
-                   "run's --fleet= spec)\n",
-                   grid.cells, grid.vantages, grid.servers, grid.trials);
+    if (!coord_in_grid(coord, bench.grid(),
+                       " (trial = flow index; pass the run's --fleet= "
+                       "spec)")) {
       return 2;
     }
     replay = bench.replay_flow(coord, cli.trace_out, cli.pcap);
@@ -1275,14 +1254,8 @@ int cmd_explain(const CliOptions& cli) {
   } else {
     const Table4Inside bench(scale);
     const bool intang = cli.bench == "table4-intang";
-    const runner::TrialGrid grid =
-        intang ? bench.intang_grid() : bench.fixed_grid();
-    if (coord.cell >= grid.cells || coord.vantage >= grid.vantages ||
-        coord.server >= grid.servers || coord.trial >= grid.trials) {
-      std::fprintf(stderr,
-                   "coordinate out of range: grid is cells=%zu vantages=%zu "
-                   "servers=%zu trials=%zu\n",
-                   grid.cells, grid.vantages, grid.servers, grid.trials);
+    if (!coord_in_grid(coord,
+                       intang ? bench.intang_grid() : bench.fixed_grid(), "")) {
       return 2;
     }
     replay = intang ? bench.replay_intang(coord, cli.trace_out, cli.pcap)
