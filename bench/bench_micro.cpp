@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the primitives everything else is
 // built on: the keyword engine, checksums, the wire codec, fragmentation,
-// the event loop, INTANG's caches, and a complete end-to-end trial.
+// the event loop, one packet hop along a path, INTANG's caches, and a
+// complete end-to-end trial.
 //
 // Accepts --report=FILE on top of the standard google-benchmark flags:
 // per-benchmark ns/op land in a BenchReport (obs/perf.h) as informational
@@ -20,6 +21,7 @@
 #include "intang/kv_store.h"
 #include "intang/lru_cache.h"
 #include "netsim/fragment.h"
+#include "netsim/path.h"
 #include "netsim/wire.h"
 #include "strategy/insertion.h"
 
@@ -60,6 +62,44 @@ net::Packet sample_packet() {
   net::finalize(pkt);
   return pkt;
 }
+
+void BM_TransportChecksum(benchmark::State& state) {
+  // A finalized TCP segment with options and a 512-byte payload: the sum
+  // every validating endpoint and middlebox recomputes.
+  const net::Packet pkt = sample_packet();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::correct_transport_checksum(pkt));
+  }
+}
+BENCHMARK(BM_TransportChecksum);
+
+/// Path element that forwards every packet untouched.
+class PassElement final : public net::PathElement {
+ public:
+  std::string name() const override { return "pass"; }
+  void process(net::Packet pkt, net::Dir, net::Forwarder& fwd) override {
+    fwd.forward(std::move(pkt));
+  }
+};
+
+void BM_PathHop(benchmark::State& state) {
+  // One packet from client to server through one element of a warmed,
+  // untraced path: finalize, two scheduled hops, delivery.
+  net::EventLoop loop;
+  net::PathConfig cfg;
+  cfg.server_hops = 10;
+  net::Path path(loop, Rng(4), cfg);
+  PassElement element;
+  path.attach(5, &element);
+  net::Packet held = sample_packet();
+  path.set_server_sink([&held](net::Packet p) { held = std::move(p); });
+  for (auto _ : state) {
+    held.ip.ttl = 64;
+    path.send_from_client(std::move(held));
+    loop.run();
+  }
+}
+BENCHMARK(BM_PathHop);
 
 void BM_WireSerialize(benchmark::State& state) {
   const net::Packet pkt = sample_packet();

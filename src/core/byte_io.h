@@ -29,7 +29,6 @@ class BufWriter {
   void str(std::string_view s) {
     out_.insert(out_.end(), s.begin(), s.end());
   }
-  void zeros(std::size_t n) { out_.insert(out_.end(), n, 0); }
 
   std::size_t size() const { return out_.size(); }
 

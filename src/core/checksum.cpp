@@ -25,23 +25,17 @@ u16 internet_checksum(ByteView data) {
 }
 
 u16 transport_checksum(u32 src_ip, u32 dst_ip, u8 protocol, ByteView segment) {
-  u8 pseudo[12];
-  pseudo[0] = static_cast<u8>(src_ip >> 24);
-  pseudo[1] = static_cast<u8>(src_ip >> 16);
-  pseudo[2] = static_cast<u8>(src_ip >> 8);
-  pseudo[3] = static_cast<u8>(src_ip);
-  pseudo[4] = static_cast<u8>(dst_ip >> 24);
-  pseudo[5] = static_cast<u8>(dst_ip >> 16);
-  pseudo[6] = static_cast<u8>(dst_ip >> 8);
-  pseudo[7] = static_cast<u8>(dst_ip);
-  pseudo[8] = 0;
-  pseudo[9] = protocol;
-  const auto len = static_cast<u16>(segment.size());
-  pseudo[10] = static_cast<u8>(len >> 8);
-  pseudo[11] = static_cast<u8>(len);
+  return transport_checksum(src_ip, dst_ip, protocol, segment, ByteView());
+}
 
-  u32 acc = checksum_accumulate(ByteView(pseudo, sizeof(pseudo)), 0);
-  acc = checksum_accumulate(segment, acc);
+u16 transport_checksum(u32 src_ip, u32 dst_ip, u8 protocol, ByteView header,
+                       ByteView payload) {
+  // Pseudo-header words: src, dst, zero|protocol, segment length.
+  const u32 len = static_cast<u16>(header.size() + payload.size());
+  u32 acc = (src_ip >> 16) + (src_ip & 0xFFFF) + (dst_ip >> 16) +
+            (dst_ip & 0xFFFF) + protocol + len;
+  acc = checksum_accumulate(header, acc);
+  acc = checksum_accumulate(payload, acc);
   return checksum_finish(acc);
 }
 

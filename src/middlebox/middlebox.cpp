@@ -45,7 +45,10 @@ void Middlebox::process(net::Packet pkt, net::Dir dir, net::Forwarder& fwd) {
 
   if (pkt.is_tcp()) {
     const net::TcpHeader& t = *pkt.tcp;
-    if (!net::transport_checksum_ok(pkt) && should_drop(cfg_.wrong_checksum)) {
+    // A box that passes bad checksums never needs the sum; the RNG draw
+    // (kSometimes) still happens only for a bad one.
+    if (cfg_.wrong_checksum != DropMode::kPass &&
+        !net::transport_checksum_ok(pkt) && should_drop(cfg_.wrong_checksum)) {
       ++dropped_;
       fwd.drop(pkt, "wrong TCP checksum");
       return;

@@ -1,8 +1,8 @@
 // Discrete-event scheduler driving all simulations on virtual time.
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +29,11 @@ struct RunResult {
 
 /// Min-heap event loop. Events scheduled for the same instant run in
 /// scheduling order (a monotonically increasing tiebreaker guarantees
-/// determinism).
+/// determinism). The heap is a plain vector: events are moved in and moved
+/// out, never copied, and a closure of at most 16 trivially-copyable bytes
+/// (what the path schedules per hop) lives inside its std::function, so a
+/// warmed loop schedules and runs such events without touching the heap
+/// allocator.
 class EventLoop {
  public:
   using Action = std::function<void()>;
@@ -45,7 +49,8 @@ class EventLoop {
   void start_at(SimTime t) { clock_.advance_to(t); }
 
   void schedule_at(SimTime when, Action action) {
-    queue_.push(Event{when, next_seq_++, std::move(action)});
+    queue_.push_back(Event{when, next_seq_++, std::move(action)});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
     metrics().queue_depth_hwm.max_of(static_cast<double>(queue_.size()));
   }
 
@@ -58,10 +63,7 @@ class EventLoop {
   RunResult run(std::size_t max_events = 1'000'000) {
     RunResult result;
     while (!queue_.empty() && result.executed < max_events) {
-      Event ev = queue_.top();
-      queue_.pop();
-      clock_.advance_to(ev.when);
-      ev.action();
+      run_next();
       ++result.executed;
     }
     finish_run(result, !queue_.empty());
@@ -71,15 +73,12 @@ class EventLoop {
   /// Run events with timestamps <= deadline, then set the clock there.
   RunResult run_until(SimTime deadline, std::size_t max_events = 1'000'000) {
     RunResult result;
-    while (!queue_.empty() && queue_.top().when <= deadline &&
+    while (!queue_.empty() && queue_.front().when <= deadline &&
            result.executed < max_events) {
-      Event ev = queue_.top();
-      queue_.pop();
-      clock_.advance_to(ev.when);
-      ev.action();
+      run_next();
       ++result.executed;
     }
-    finish_run(result, !queue_.empty() && queue_.top().when <= deadline);
+    finish_run(result, !queue_.empty() && queue_.front().when <= deadline);
     clock_.advance_to(deadline);
     return result;
   }
@@ -137,17 +136,30 @@ class EventLoop {
     SimTime when;
     u64 seq;
     Action action;
+  };
 
-    bool operator>(const Event& other) const {
-      if (when != other.when) return other.when < when;
-      return seq > other.seq;
+  /// Heap order: the earliest (when, seq) sits at the front.
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.when != b.when) return b.when < a.when;
+      return a.seq > b.seq;
     }
   };
+
+  /// Pop the earliest event, advance the clock to it and run it. The event
+  /// is moved out before it runs, so its action may schedule more events.
+  void run_next() {
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
+    clock_.advance_to(ev.when);
+    ev.action();
+  }
 
   VirtualClock clock_;
   u64 next_seq_ = 0;
   obs::TraceRecorder* trace_ = nullptr;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  std::vector<Event> queue_;  // binary heap ordered by Later
 };
 
 }  // namespace ys::net

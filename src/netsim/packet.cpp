@@ -89,11 +89,12 @@ bool ip_length_consistent(const Packet& pkt) {
 }
 
 u16 correct_transport_checksum(const Packet& pkt) {
-  // Compute over the real wire image of the transport segment with the
-  // checksum field zeroed — exactly what an endpoint NIC/stack does.
-  Bytes segment = serialize_transport(pkt, /*zero_checksum=*/true);
+  // Fold over the segment's wire image with the checksum field zeroed —
+  // exactly what an endpoint NIC/stack does — header and payload in place.
+  const HeaderImage hdr = encode_transport_header(pkt, /*zero_checksum=*/true);
   const u8 proto = static_cast<u8>(pkt.ip.protocol);
-  u16 sum = transport_checksum(pkt.ip.src, pkt.ip.dst, proto, segment);
+  u16 sum = transport_checksum(pkt.ip.src, pkt.ip.dst, proto, hdr.view(),
+                               pkt.payload);
   // Per RFC 768 a computed UDP checksum of 0 is transmitted as 0xFFFF.
   if (pkt.ip.protocol == IpProto::kUdp && sum == 0) sum = 0xFFFF;
   return sum;
@@ -132,8 +133,8 @@ void finalize(Packet& pkt) {
     }
   }
   if (pkt.ip.header_checksum == 0) {
-    Bytes hdr = serialize_ip_header(pkt.ip, /*zero_checksum=*/true);
-    pkt.ip.header_checksum = internet_checksum(hdr);
+    pkt.ip.header_checksum = internet_checksum(
+        encode_ip_header(pkt.ip, /*zero_checksum=*/true).view());
   }
 }
 

@@ -1,8 +1,10 @@
 // Structured IPv4 / TCP / UDP packet model.
 //
 // The structured form is authoritative inside the simulator; `wire.h`
-// serializes it to real big-endian wire images and parses them back, and the
-// checksum helpers recompute real RFC 1071 checksums from those images.
+// serializes it to real big-endian wire images and parses them back. The
+// checksum helpers below compute real RFC 1071 checksums of that image
+// without building it: they fold the sum over the pseudo-header, the
+// header as `wire.h` encodes it (a fixed stack buffer) and the payload.
 // Deliberately-malformed fields (wrong checksum, claimed IP total length
 // larger than the actual packet, TCP data offset below 5, absent flags) are
 // all representable, because the paper's insertion packets depend on them.

@@ -78,9 +78,8 @@ class Path::ForwarderImpl final : public Forwarder {
         (path_.trace_ != nullptr && cause_packet_id != 0)
             ? path_.trace_->event_for_packet(cause_packet_id)
             : 0;
-    const std::string actor = path_.elements_[static_cast<std::size_t>(index_)]
-                                  .element->name();
     if (path_.fault_hook_ != nullptr) {
+      const std::string& actor = path_.actor(index_);
       const FaultHook::InjectAction act =
           path_.fault_hook_->on_inject(actor, path_.loop_.now());
       if (act.suppress) {
@@ -94,25 +93,15 @@ class Path::ForwarderImpl final : public Forwarder {
       delay = delay + SimTime::from_us(act.extra_delay_us);
     }
     Path::metrics().injected.inc();
-    const int position = position_;
-    const int index = index_;
-    Path* path = &path_;
-    path_.loop_.schedule_after(delay, [path, actor, position, index, dir,
-                                       cause_event,
-                                       pkt = std::move(pkt)]() mutable {
-      path->trace_packet(obs::TraceKind::kInject, actor, pkt, dir,
-                         cause_event);
-      path->transit(std::move(pkt), dir, position, index);
-    });
+    path_.schedule(path_.loop_.now() + delay, std::move(pkt), Step::kInject,
+                   dir, index_, cause_event);
   }
 
   void drop(const Packet& pkt, std::string_view reason) override {
     Path::metrics().element_drops.inc();
     if (path_.trace_ != nullptr) {
-      const std::string actor =
-          path_.elements_[static_cast<std::size_t>(index_)].element->name();
-      path_.trace_packet(obs::TraceKind::kDrop, actor, pkt, dir_,
-                         path_.trace_->event_for_packet(pkt.trace_id),
+      path_.trace_packet(obs::TraceKind::kDrop, path_.actor(index_), pkt,
+                         dir_, path_.trace_->event_for_packet(pkt.trace_id),
                          std::string(reason).c_str());
     }
   }
@@ -157,9 +146,66 @@ void Path::attach(int position, PathElement* element) {
   auto it = std::upper_bound(
       elements_.begin(), elements_.end(), position,
       [](int pos, const Attachment& a) { return pos < a.position; });
+  std::string name = element->name();
   obs::Counter& events = obs::MetricsRegistry::current().counter(
-      "netsim.actor_events." + sanitize_actor(element->name()));
-  elements_.insert(it, Attachment{position, element, &events});
+      "netsim.actor_events." + sanitize_actor(name));
+  elements_.insert(it, Attachment{position, element, std::move(name),
+                                  &events});
+}
+
+void Path::send_after(SimTime delay, Dir dir, Packet pkt) {
+  schedule(loop_.now() + delay, std::move(pkt), Step::kSend, dir, -1);
+}
+
+void Path::schedule(SimTime when, Packet pkt, Step step, Dir dir, int index,
+                    u64 cause_event) {
+  u32 slot = free_head_;
+  if (slot == kNoSlot) {
+    slot = static_cast<u32>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    free_head_ = slab_[slot].next_free;
+  }
+  slab_[slot].pkt = std::move(pkt);
+  slab_[slot].cause_event = cause_event;
+  loop_.schedule_at(when, Resume{this, slot, static_cast<std::int16_t>(index),
+                                 dir, step});
+}
+
+Packet Path::unpark(u32 slot) {
+  Parked& parked = slab_[slot];
+  Packet pkt = std::move(parked.pkt);
+  parked.next_free = free_head_;
+  free_head_ = slot;
+  return pkt;
+}
+
+void Path::resume(const Resume& r) {
+  switch (r.step) {
+    case Step::kArrive:
+      if (r.index >= 0) {
+        deliver_to_element(unpark(r.slot), r.dir, r.index);
+      } else {
+        deliver_to_endpoint(unpark(r.slot), r.dir);
+      }
+      return;
+    case Step::kInject: {
+      const u64 cause_event = slab_[r.slot].cause_event;
+      Packet pkt = unpark(r.slot);
+      trace_packet(obs::TraceKind::kInject, actor(r.index), pkt, r.dir,
+                   cause_event);
+      transit(std::move(pkt), r.dir,
+              elements_[static_cast<std::size_t>(r.index)].position, r.index);
+      return;
+    }
+    case Step::kSend:
+      if (r.dir == Dir::kC2S) {
+        send_from_client(unpark(r.slot));
+      } else {
+        send_from_server(unpark(r.slot));
+      }
+      return;
+  }
 }
 
 void Path::send_from_client(Packet pkt) {
@@ -271,12 +317,9 @@ void Path::transit(Packet pkt, Dir dir, int from_pos, int after_index) {
   // later never arrives earlier (router queues don't reorder a flow). A
   // fault-layer reorder window bypasses the clamp — true reordering beyond
   // what jitter can produce — without lowering the floor for others.
-  const u64 fifo_key =
-      (static_cast<u64>(next_index + 2) << 1) |
-      (dir == Dir::kC2S ? 0u : 1u);
+  SimTime& floor = fifo_floor(next_index, dir);
   SimTime deliver_at = loop_.now() + delay;
   if (!fault.bypass_fifo) {
-    SimTime& floor = fifo_floor_[fifo_key];
     if (deliver_at < floor) {
       // Jitter alone would have reordered this packet past an earlier one on
       // the same segment; the FIFO clamp is where "reordering pressure" shows.
@@ -286,41 +329,22 @@ void Path::transit(Packet pkt, Dir dir, int from_pos, int after_index) {
     floor = deliver_at;
   }
 
-  Packet dup;
-  if (fault.duplicate) dup = pkt;  // copy before the schedule moves it
-
-  if (next_index >= 0) {
-    loop_.schedule_at(deliver_at,
-                      [this, pkt = std::move(pkt), dir, next_index]() mutable {
-                        deliver_to_element(std::move(pkt), dir, next_index);
-                      });
-  } else {
-    loop_.schedule_at(deliver_at, [this, pkt = std::move(pkt), dir]() mutable {
-      deliver_to_endpoint(std::move(pkt), dir);
-    });
+  if (!fault.duplicate) {
+    schedule(deliver_at, std::move(pkt), Step::kArrive, dir, next_index);
+    return;
   }
 
-  if (fault.duplicate) {
-    // The copy trails the original by one hop latency and respects the
-    // same FIFO floor, like a retransmitting link layer.
-    metrics().fault_duplicates.inc();
-    SimTime dup_at = deliver_at + SimTime::from_us(cfg_.per_hop_latency_us);
-    if (!fault.bypass_fifo) {
-      SimTime& floor = fifo_floor_[fifo_key];
-      if (dup_at < floor) dup_at = floor;
-      floor = dup_at;
-    }
-    if (next_index >= 0) {
-      loop_.schedule_at(dup_at,
-                        [this, pkt = std::move(dup), dir, next_index]() mutable {
-                          deliver_to_element(std::move(pkt), dir, next_index);
-                        });
-    } else {
-      loop_.schedule_at(dup_at, [this, pkt = std::move(dup), dir]() mutable {
-        deliver_to_endpoint(std::move(pkt), dir);
-      });
-    }
+  // The copy trails the original by one hop latency and respects the same
+  // FIFO floor, like a retransmitting link layer.
+  metrics().fault_duplicates.inc();
+  Packet dup = pkt;
+  schedule(deliver_at, std::move(pkt), Step::kArrive, dir, next_index);
+  SimTime dup_at = deliver_at + SimTime::from_us(cfg_.per_hop_latency_us);
+  if (!fault.bypass_fifo) {
+    if (dup_at < floor) dup_at = floor;
+    floor = dup_at;
   }
+  schedule(dup_at, std::move(dup), Step::kArrive, dir, next_index);
 }
 
 void Path::deliver_to_element(Packet pkt, Dir dir, int index) {

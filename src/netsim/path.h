@@ -8,10 +8,12 @@
 // unchanged and can only inject new packets at its own position.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/log.h"
@@ -23,7 +25,7 @@
 
 namespace ys::net {
 
-enum class Dir {
+enum class Dir : u8 {
   kC2S,  // client to server
   kS2C,  // server to client
 };
@@ -163,6 +165,11 @@ class Path {
   void send_from_client(Packet pkt);
   void send_from_server(Packet pkt);
 
+  /// send_from_client (kC2S) or send_from_server (kS2C) after `delay`. The
+  /// packet waits in the path's in-flight slab, so scheduling it
+  /// allocates nothing (raw-socket sends a strategy spaces out in time).
+  void send_after(SimTime delay, Dir dir, Packet pkt);
+
   const PathConfig& config() const { return cfg_; }
   EventLoop& loop() { return loop_; }
   obs::TraceRecorder* trace() { return trace_; }
@@ -185,10 +192,44 @@ class Path {
   struct Attachment {
     int position;
     PathElement* element;
+    /// The element's name (trace actor, fault-hook key), resolved once.
+    std::string name;
     /// Per-actor event count ("netsim.actor_events.<name>"), resolved once
     /// at attach time so per-packet delivery costs one pointer bump.
     obs::Counter* events = nullptr;
+    /// FIFO floor of the segment ending here, per direction.
+    std::array<SimTime, 2> fifo_floor{};
   };
+
+  /// A packet waiting in the event loop: parked in `slab_` between the
+  /// moment a hop is scheduled and the moment it fires. Slots are
+  /// recycled LIFO through an intrusive free list, so a warmed path parks
+  /// and releases packets without allocating.
+  struct Parked {
+    Packet pkt;
+    u64 cause_event = 0;  ///< injections: trace event of the trigger
+    u32 next_free = 0;
+  };
+
+  /// What a parked packet does when its event fires.
+  enum class Step : u8 {
+    kArrive,  ///< reach element `index`, or the endpoint when index < 0
+    kInject,  ///< leave element `index` as a freshly injected packet
+    kSend,    ///< endpoint send in `dir` (send_after)
+  };
+
+  /// The scheduled closure of every hop: 16 trivially-copyable bytes, so
+  /// std::function stores it inline instead of on the heap.
+  struct Resume {
+    Path* path;
+    u32 slot;
+    std::int16_t index;
+    Dir dir;
+    Step step;
+    void operator()() const { path->resume(*this); }
+  };
+  static_assert(sizeof(Resume) <= 16 &&
+                std::is_trivially_copyable_v<Resume>);
 
   struct PathMetrics {
     obs::Counter& delivered_client;
@@ -207,6 +248,10 @@ class Path {
 
   class ForwarderImpl;
 
+  const std::string& actor(int index) const {
+    return elements_[static_cast<std::size_t>(index)].name;
+  }
+
   int endpoint_position(Dir dir) const {
     return dir == Dir::kC2S ? cfg_.server_hops + hop_shift_ : 0;
   }
@@ -215,6 +260,13 @@ class Path {
   /// in `dir`, applying TTL, loss, and latency. `after_index` is the index
   /// in elements_ the packet last visited (-1 when leaving an endpoint).
   void transit(Packet pkt, Dir dir, int from_pos, int after_index);
+
+  /// Park `pkt` and schedule `step` for it at `when`.
+  void schedule(SimTime when, Packet pkt, Step step, Dir dir, int index,
+                u64 cause_event = 0);
+  void resume(const Resume& r);
+  /// Take the packet out of `slot` and put the slot on the free list.
+  Packet unpark(u32 slot);
 
   void deliver_to_element(Packet pkt, Dir dir, int index);
   void deliver_to_endpoint(Packet pkt, Dir dir);
@@ -238,8 +290,19 @@ class Path {
   u64 next_trace_id_ = 1;
   /// FIFO floor per (next stop, direction): jitter may stretch latency but
   /// packets on one path segment never overtake each other, like real
-  /// router queues.
-  std::unordered_map<u64, SimTime> fifo_floor_;
+  /// router queues. Elements keep theirs in their Attachment; these are
+  /// the endpoints' (next stop -1).
+  std::array<SimTime, 2> endpoint_fifo_floor_{};
+  SimTime& fifo_floor(int next_index, Dir dir) {
+    std::array<SimTime, 2>& floors =
+        next_index >= 0
+            ? elements_[static_cast<std::size_t>(next_index)].fifo_floor
+            : endpoint_fifo_floor_;
+    return floors[dir == Dir::kC2S ? 0 : 1];
+  }
+  std::vector<Parked> slab_;
+  static constexpr u32 kNoSlot = ~u32{0};
+  u32 free_head_ = kNoSlot;
   std::size_t to_server_count_ = 0;
   std::size_t to_client_count_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "netsim/wire.h"
 
+#include <algorithm>
+
 #include "core/byte_io.h"
 
 namespace ys::net {
@@ -14,7 +16,36 @@ constexpr u8 kOptSackPerm = 4;
 constexpr u8 kOptTimestamps = 8;
 constexpr u8 kOptMd5 = 19;
 
-void write_tcp_options(BufWriter& w, const TcpOptions& opts) {
+/// Appends big-endian fields to a HeaderImage; callers stay within
+/// kMaxHeaderBytes by construction (see its comment).
+class HeaderWriter {
+ public:
+  explicit HeaderWriter(HeaderImage& img) : img_(img) {}
+
+  void u8_(u8 v) { img_.bytes[img_.size++] = v; }
+  void u16_(u16 v) {
+    u8_(static_cast<u8>(v >> 8));
+    u8_(static_cast<u8>(v));
+  }
+  void u32_(u32 v) {
+    u16_(static_cast<u16>(v >> 16));
+    u16_(static_cast<u16>(v));
+  }
+  void bytes(ByteView v) {
+    std::copy(v.begin(), v.end(), img_.bytes.begin() + img_.size);
+    img_.size += v.size();
+  }
+  void zeros(std::size_t n) {
+    std::fill_n(img_.bytes.begin() + img_.size, n, u8{0});
+    img_.size += n;
+  }
+  std::size_t size() const { return img_.size; }
+
+ private:
+  HeaderImage& img_;
+};
+
+void write_tcp_options(HeaderWriter& w, const TcpOptions& opts) {
   std::size_t start = w.size();
   if (opts.mss) {
     w.u8_(kOptMss);
@@ -104,11 +135,12 @@ Status read_tcp_options(BufReader& r, std::size_t options_len,
 
 }  // namespace
 
-Bytes serialize_ip_header(const Ipv4Header& ip, bool zero_checksum) {
-  Bytes out;
-  out.reserve(static_cast<std::size_t>(ip.ihl_words) * 4);
-  BufWriter w(out);
-  w.u8_(static_cast<u8>(0x40 | (ip.ihl_words & 0x0F)));
+HeaderImage encode_ip_header(const Ipv4Header& ip, bool zero_checksum) {
+  // IHL is a 4-bit field: the option area never passes 40 bytes.
+  const std::size_t ihl_words = ip.ihl_words & 0x0F;
+  HeaderImage img;
+  HeaderWriter w(img);
+  w.u8_(static_cast<u8>(0x40 | ihl_words));
   w.u8_(ip.dscp_ecn);
   w.u16_(ip.total_length);
   w.u16_(ip.identification);
@@ -121,19 +153,14 @@ Bytes serialize_ip_header(const Ipv4Header& ip, bool zero_checksum) {
   w.u16_(zero_checksum ? 0 : ip.header_checksum);
   w.u32_(ip.src);
   w.u32_(ip.dst);
-  if (ip.ihl_words > 5) {
-    w.zeros((static_cast<std::size_t>(ip.ihl_words) - 5) * 4);
-  }
-  return out;
+  if (ihl_words > 5) w.zeros((ihl_words - 5) * 4);
+  return img;
 }
 
-Bytes serialize_transport(const Packet& pkt, bool zero_checksum) {
-  Bytes out;
-  BufWriter w(out);
-  if (pkt.is_trailing_fragment() || (!pkt.tcp && !pkt.udp)) {
-    w.bytes(pkt.payload);
-    return out;
-  }
+HeaderImage encode_transport_header(const Packet& pkt, bool zero_checksum) {
+  HeaderImage img;
+  HeaderWriter w(img);
+  if (pkt.is_trailing_fragment()) return img;
   if (pkt.tcp) {
     const TcpHeader& t = *pkt.tcp;
     w.u16_(t.src_port);
@@ -148,15 +175,27 @@ Bytes serialize_transport(const Packet& pkt, bool zero_checksum) {
     w.u16_(zero_checksum ? 0 : t.checksum);
     w.u16_(t.urgent_pointer);
     write_tcp_options(w, t.options);
-    w.bytes(pkt.payload);
-    return out;
+  } else if (pkt.udp) {
+    const UdpHeader& u = *pkt.udp;
+    w.u16_(u.src_port);
+    w.u16_(u.dst_port);
+    w.u16_(u.length);
+    w.u16_(zero_checksum ? 0 : u.checksum);
   }
-  const UdpHeader& u = *pkt.udp;
-  w.u16_(u.src_port);
-  w.u16_(u.dst_port);
-  w.u16_(u.length);
-  w.u16_(zero_checksum ? 0 : u.checksum);
-  w.bytes(pkt.payload);
+  return img;
+}
+
+Bytes serialize_ip_header(const Ipv4Header& ip, bool zero_checksum) {
+  const HeaderImage hdr = encode_ip_header(ip, zero_checksum);
+  return Bytes(hdr.view().begin(), hdr.view().end());
+}
+
+Bytes serialize_transport(const Packet& pkt, bool zero_checksum) {
+  const HeaderImage hdr = encode_transport_header(pkt, zero_checksum);
+  Bytes out;
+  out.reserve(hdr.size + pkt.payload.size());
+  out.insert(out.end(), hdr.view().begin(), hdr.view().end());
+  out.insert(out.end(), pkt.payload.begin(), pkt.payload.end());
   return out;
 }
 

@@ -10,6 +10,7 @@ namespace ys::obs::perf {
 namespace {
 
 std::atomic<bool> g_phases_enabled{true};
+thread_local int t_phases_off = 0;  // live ScopedPhasesOff on this thread
 
 /// Global registry of per-thread tables. Threads come and go (the runner
 /// spawns fresh workers every run), so the registry holds shared_ptrs that
@@ -45,7 +46,7 @@ void PhaseProfiler::set_enabled(bool on) {
 }
 
 void PhaseProfiler::record(const char* name, u64 wall_ns) {
-  if (!enabled()) return;
+  if (!enabled() || t_phases_off > 0) return;
   PhaseAgg& agg = local_table().phases[name];
   ++agg.count;
   agg.wall_ns += wall_ns;
@@ -82,6 +83,9 @@ void PhaseProfiler::reset() {
   std::lock_guard<std::mutex> lock(g_tables_mu);
   for (const auto& table : tables()) table->phases.clear();
 }
+
+ScopedPhasesOff::ScopedPhasesOff() { ++t_phases_off; }
+ScopedPhasesOff::~ScopedPhasesOff() { --t_phases_off; }
 
 bool write_phase_trace(const std::string& path) {
   const std::vector<ThreadPhases> threads = PhaseProfiler::by_thread();

@@ -69,6 +69,18 @@ class PhaseProfiler {
   static void reset();
 };
 
+/// Drop this thread's phase records while alive (nests). Re-runs of work
+/// that was already counted, like flight-recorder replays, wrap
+/// themselves in one so their phases do not count twice.
+class ScopedPhasesOff {
+ public:
+  ScopedPhasesOff();
+  ~ScopedPhasesOff();
+
+  ScopedPhasesOff(const ScopedPhasesOff&) = delete;
+  ScopedPhasesOff& operator=(const ScopedPhasesOff&) = delete;
+};
+
 /// RAII phase timer.
 class ScopedPhase {
  public:

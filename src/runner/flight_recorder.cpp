@@ -1,10 +1,13 @@
 #include "runner/flight_recorder.h"
 
+#include <exception>
 #include <filesystem>
 #include <system_error>
+#include <thread>
 
 #include "core/log.h"
 #include "obs/metrics.h"
+#include "obs/phase_profiler.h"
 #include "obs/timeline.h"
 
 namespace ys::runner {
@@ -51,14 +54,24 @@ void FlightRecorder::record(const GridCoord& c, const std::string& why) {
   const std::string stem = artifact_stem(c);
   archive.trace_path = stem + ".trace.json";
   archive.pcap_path = stem + ".pcap";
-  {
-    // The replay re-runs grid trials (a chained coordinate's prefix too):
-    // its counters and timeline series must not count as the bench's.
+  // The replay re-runs grid trials (a chained coordinate's prefix too):
+  // its counters, timeline series and phases must not count as the
+  // bench's. It runs on a thread of its own, so it also leaves this
+  // thread's per-thread metric bindings and allocation counters alone: the
+  // bench's next trial neither rebinds nor counts the replay's churn.
+  std::exception_ptr error;
+  std::thread([&] {
     obs::MetricsRegistry scratch;
     obs::ScopedMetricsRegistry metrics_scope(&scratch);
     obs::ScopedTimeline timeline_scope(nullptr);
-    archive.summary = replay_(c, archive.trace_path, archive.pcap_path);
-  }
+    obs::perf::ScopedPhasesOff phases_off;
+    try {
+      archive.summary = replay_(c, archive.trace_path, archive.pcap_path);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }).join();
+  if (error) std::rethrow_exception(error);
   obs::MetricsRegistry::current()
       .counter("runner.flight_recorder.archived")
       .inc();

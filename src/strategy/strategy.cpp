@@ -8,10 +8,7 @@ namespace ys::strategy {
 void StrategyContext::raw_send_after(SimTime delay, net::Packet pkt) {
   pkt.crafted = true;
   pkt.cause_hint = decision_event;
-  tcp::Host* host = host_;
-  host_->loop().schedule_after(delay, [host, pkt = std::move(pkt)]() mutable {
-    host->send_raw_unhooked(std::move(pkt));
-  });
+  host_->send_raw_unhooked_after(delay, std::move(pkt));
 }
 
 void StrategyContext::raw_send_repeated(net::Packet pkt, int times,

@@ -59,6 +59,13 @@ void Host::send_raw_unhooked(net::Packet pkt) {
   }
 }
 
+void Host::send_raw_unhooked_after(SimTime delay, net::Packet pkt) {
+  path_.send_after(delay,
+                   cfg_.side == HostSide::kClient ? net::Dir::kC2S
+                                                  : net::Dir::kS2C,
+                   std::move(pkt));
+}
+
 void Host::transmit(net::Packet pkt) {
   if (egress_hook_) {
     if (egress_hook_(pkt) == Verdict::kDrop) return;
@@ -69,19 +76,22 @@ void Host::transmit(net::Packet pkt) {
 void Host::handle_wire(net::Packet pkt) {
   // IP-layer reassembly first: hosts always reassemble before the
   // transport layer sees anything.
-  std::optional<net::Packet> whole = reassembler_.push(pkt);
-  if (!whole) return;  // waiting for more fragments
-
-  received_.push_back(*whole);
-
-  if (ingress_hook_) {
-    if (ingress_hook_(*whole) == Verdict::kDrop) return;
+  if (pkt.ip.is_fragmented()) {
+    std::optional<net::Packet> whole = reassembler_.push(pkt);
+    if (!whole) return;  // waiting for more fragments
+    pkt = std::move(*whole);
   }
 
-  if (whole->is_tcp()) {
-    handle_tcp(*whole);
-  } else if (whole->is_udp()) {
-    handle_udp(*whole);
+  received_.push_back(pkt);
+
+  if (ingress_hook_) {
+    if (ingress_hook_(pkt) == Verdict::kDrop) return;
+  }
+
+  if (pkt.is_tcp()) {
+    handle_tcp(pkt);
+  } else if (pkt.is_udp()) {
+    handle_udp(pkt);
   }
 }
 

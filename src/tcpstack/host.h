@@ -78,6 +78,9 @@ class Host {
   /// Raw send that skips the egress hook — used by the hook implementation
   /// itself to emit insertion packets without recursing.
   void send_raw_unhooked(net::Packet pkt);
+  /// send_raw_unhooked after `delay`, without allocating (the packet waits
+  /// in the path's in-flight slab).
+  void send_raw_unhooked_after(SimTime delay, net::Packet pkt);
 
   /// Deliver a packet to this host's own IP layer as if it had arrived
   /// from the wire (loopback). INTANG's DNS forwarder uses this to hand a

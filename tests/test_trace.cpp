@@ -22,7 +22,9 @@
 #include "gfw/gfw_device.h"
 #include "netsim/event_loop.h"
 #include "netsim/path.h"
+#include "obs/alloc_hook.h"
 #include "obs/metrics.h"
+#include "obs/phase_profiler.h"
 #include "obs/trace.h"
 #include "obs/timeline.h"
 #include "obs/trace_export.h"
@@ -551,6 +553,52 @@ TEST(FlightRecorder, RecordLeavesCallerTelemetryUntouched) {
   EXPECT_TRUE(timeline.empty());
   ASSERT_EQ(recorder.archives().size(), 1u);
   EXPECT_FALSE(recorder.archives()[0].summary.empty());
+  EXPECT_TRUE(std::filesystem::exists(recorder.archives()[0].trace_path));
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(FlightRecorder, RecordLeavesPhasesAndNextTrialChurnUntouched) {
+  // A bench archives anomalies between grid trials on its own thread: the
+  // replay must not add to the phase profile, nor make the next grid trial
+  // pay to rebind this thread's metric handles.
+  const Table4Inside bench(replay_scale(2));
+  const std::string dir = "test_trace_flight_phases.tmp";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  runner::FlightRecorderOptions opt;
+  opt.dir = dir;
+  opt.bench = "table4-inside";
+  runner::FlightRecorder recorder(
+      opt, [&bench](const runner::GridCoord& c, const std::string& trace,
+                    const std::string& pcap) {
+        return bench.replay_fixed(c, trace, pcap).attribution.verdict;
+      });
+  const runner::GridCoord coord{0, 1, 0, 1};
+  const auto trial_allocs = [&] {
+    const obs::perf::AllocCounters before = obs::perf::thread_alloc_counters();
+    (void)bench.run_fixed(coord);
+    return obs::perf::thread_alloc_counters().count - before.count;
+  };
+
+  obs::MetricsRegistry reg;
+  obs::ScopedMetricsRegistry scope(&reg);
+  (void)bench.run_fixed(coord);  // bind this thread's handles
+  const u64 warm = trial_allocs();
+  const auto phases_before = obs::perf::PhaseProfiler::snapshot();
+
+  recorder.record(coord, "anomaly");
+
+  const auto phases_after = obs::perf::PhaseProfiler::snapshot();
+  EXPECT_EQ(phases_after.size(), phases_before.size());
+  for (const auto& [name, agg] : phases_after) {
+    const auto it = phases_before.find(name);
+    ASSERT_NE(it, phases_before.end()) << name;
+    EXPECT_EQ(agg.count, it->second.count) << name;
+  }
+  if (obs::perf::alloc_hook_available()) {
+    EXPECT_EQ(trial_allocs(), warm);
+  }
+  ASSERT_EQ(recorder.archives().size(), 1u);
   EXPECT_TRUE(std::filesystem::exists(recorder.archives()[0].trace_path));
   std::filesystem::remove_all(dir, ec);
 }

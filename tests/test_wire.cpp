@@ -3,6 +3,9 @@
 // insertion packets rely on.
 #include <gtest/gtest.h>
 
+#include "core/checksum.h"
+#include "core/rng.h"
+#include "netsim/fragment.h"
 #include "netsim/packet.h"
 #include "netsim/wire.h"
 
@@ -16,6 +19,149 @@ Packet finalized_tcp(TcpFlags flags, Bytes payload = {}) {
   Packet pkt = make_tcp_packet(kTuple, flags, 1000, 2000, std::move(payload));
   finalize(pkt);
   return pkt;
+}
+
+/// RFC 1071 the slow way: 16-bit big-endian words over one buffer, odd
+/// byte padded, carries folded at the end. Independent of core/checksum.
+u16 reference_sum(const Bytes& data) {
+  u64 acc = 0;
+  for (std::size_t i = 0; i < data.size(); i += 2) {
+    acc += static_cast<u64>(data[i]) << 8;
+    if (i + 1 < data.size()) acc += data[i + 1];
+  }
+  while (acc >> 16) acc = (acc & 0xFFFF) + (acc >> 16);
+  return static_cast<u16>(~acc & 0xFFFF);
+}
+
+/// The transport checksum the serializing way: build the segment's wire
+/// image, prepend the pseudo-header, sum.
+u16 reference_transport_checksum(const Packet& pkt) {
+  const Bytes segment = serialize_transport(pkt, /*zero_checksum=*/true);
+  Bytes image = {static_cast<u8>(pkt.ip.src >> 24), static_cast<u8>(pkt.ip.src >> 16),
+                 static_cast<u8>(pkt.ip.src >> 8),  static_cast<u8>(pkt.ip.src),
+                 static_cast<u8>(pkt.ip.dst >> 24), static_cast<u8>(pkt.ip.dst >> 16),
+                 static_cast<u8>(pkt.ip.dst >> 8),  static_cast<u8>(pkt.ip.dst),
+                 0, static_cast<u8>(pkt.ip.protocol),
+                 static_cast<u8>(segment.size() >> 8),
+                 static_cast<u8>(segment.size())};
+  image.insert(image.end(), segment.begin(), segment.end());
+  const u16 sum = reference_sum(image);
+  EXPECT_EQ(sum, transport_checksum(pkt.ip.src, pkt.ip.dst,
+                                    static_cast<u8>(pkt.ip.protocol), segment));
+  return pkt.ip.protocol == IpProto::kUdp && sum == 0 ? 0xFFFF : sum;
+}
+
+/// A seeded random packet: TCP with any option subset (MD5 included) and
+/// possibly a short or long data offset, UDP, or a trailing fragment; IP
+/// options area (ihl_words > 5) and odd payload lengths included.
+Packet random_packet(Rng& rng) {
+  Bytes payload(rng.uniform(300));
+  for (u8& b : payload) b = static_cast<u8>(rng.next_u32());
+  const FourTuple tuple{rng.next_u32(), static_cast<u16>(rng.next_u32()),
+                        rng.next_u32(), static_cast<u16>(rng.next_u32())};
+  Packet pkt;
+  const u64 kind = rng.uniform(4);
+  if (kind == 0) {
+    pkt = make_udp_packet(tuple, std::move(payload));
+  } else {
+    pkt = make_tcp_packet(tuple, TcpFlags::from_byte(static_cast<u8>(rng.uniform(64))),
+                          rng.next_u32(), rng.next_u32(), std::move(payload));
+    TcpOptions& o = pkt.tcp->options;
+    if (rng.chance(0.5)) o.mss = static_cast<u16>(rng.next_u32());
+    if (rng.chance(0.5)) o.window_scale = static_cast<u8>(rng.uniform(15));
+    o.sack_permitted = rng.chance(0.5);
+    if (rng.chance(0.5)) o.timestamps = TcpTimestamps{rng.next_u32(), rng.next_u32()};
+    if (rng.chance(0.5)) {
+      std::array<u8, 16> md5{};
+      for (u8& b : md5) b = static_cast<u8>(rng.next_u32());
+      o.md5_signature = md5;
+    }
+    if (rng.chance(0.2)) pkt.tcp->data_offset_words = static_cast<u8>(rng.uniform(16));
+    pkt.tcp->window = static_cast<u16>(rng.next_u32());
+    pkt.tcp->urgent_pointer = static_cast<u16>(rng.next_u32());
+  }
+  pkt.ip.ihl_words = static_cast<u8>(rng.chance(0.3) ? 5 + rng.uniform(11) : 5);
+  pkt.ip.ttl = static_cast<u8>(rng.next_u32());
+  pkt.ip.identification = static_cast<u16>(rng.next_u32());
+  pkt.ip.dont_fragment = rng.chance(0.5);
+  if (rng.chance(0.2)) pkt.ip.total_length = static_cast<u16>(rng.next_u32());
+  finalize(pkt);
+  if (kind == 3) {
+    // A trailing fragment: the TCP segment's bytes past its first 8.
+    const Bytes transport = serialize_transport(pkt);
+    pkt = make_raw_fragment(pkt, 8, Bytes(transport.begin() + 8, transport.end()),
+                            rng.chance(0.5));
+  }
+  return pkt;
+}
+
+// --------------------------------------------------------- checksum oracle
+
+TEST(ChecksumOracle, FoldedSumsEqualSerializeThenSum) {
+  Rng rng(20171101);
+  int udp = 0, tcp = 0, frags = 0, wrong = 0, short_offset = 0, ip_opts = 0,
+      odd = 0, md5 = 0;
+  for (int i = 0; i < 3000; ++i) {
+    Packet pkt = random_packet(rng);
+    const u16 want = reference_transport_checksum(pkt);
+    EXPECT_EQ(correct_transport_checksum(pkt), want) << pkt.summary();
+    EXPECT_EQ(pkt.ip.header_checksum,
+              reference_sum(serialize_ip_header(pkt.ip, /*zero_checksum=*/true)))
+        << pkt.summary();
+    EXPECT_EQ(internet_checksum(serialize_ip_header(pkt.ip)), 0) << pkt.summary();
+    // The fixed header buffer holds every header; the image has the size
+    // the packet model claims.
+    EXPECT_LE(encode_transport_header(pkt, false).size, kMaxHeaderBytes);
+    EXPECT_EQ(serialize(pkt).size(), wire_size(pkt)) << pkt.summary();
+
+    // Stored sums: correct after finalize, or deliberately wrong.
+    if (pkt.tcp && rng.chance(0.3)) {
+      pkt.tcp->checksum = static_cast<u16>(want + 1 + rng.uniform(0xFFFE));
+      ++wrong;
+    }
+    if (pkt.udp && rng.chance(0.3)) {
+      pkt.udp->checksum = static_cast<u16>(want + 1 + rng.uniform(0xFFFE));
+      ++wrong;
+    }
+    bool stored_ok = true;
+    if (pkt.tcp) stored_ok = pkt.tcp->checksum == want;
+    if (pkt.udp) stored_ok = pkt.udp->checksum == 0 || pkt.udp->checksum == want;
+    EXPECT_EQ(transport_checksum_ok(pkt), stored_ok) << pkt.summary();
+
+    udp += pkt.is_udp();
+    tcp += pkt.is_tcp();
+    frags += pkt.is_trailing_fragment();
+    short_offset += pkt.tcp && pkt.tcp->data_offset_words < 5;
+    ip_opts += pkt.ip.ihl_words > 5;
+    odd += pkt.payload.size() % 2;
+    md5 += pkt.tcp && pkt.tcp->options.md5_signature.has_value();
+  }
+  // The generator reached every case the fold must handle.
+  for (int n : {udp, tcp, frags, wrong, short_offset, ip_opts, odd, md5}) {
+    EXPECT_GT(n, 20);
+  }
+}
+
+TEST(ChecksumOracle, UdpSumOfZeroIsSentAsAllOnes) {
+  // Search the first payload word for the value that makes the computed
+  // UDP sum 0; RFC 768 transmits that as 0xFFFF.
+  Packet pkt = make_udp_packet(kTuple, to_bytes("ab-payload"));
+  finalize(pkt);
+  bool found = false;
+  for (u32 w = 0; w <= 0xFFFF && !found; ++w) {
+    pkt.payload[0] = static_cast<u8>(w >> 8);
+    pkt.payload[1] = static_cast<u8>(w);
+    const Bytes segment = serialize_transport(pkt, /*zero_checksum=*/true);
+    if (transport_checksum(pkt.ip.src, pkt.ip.dst, 17, segment) != 0) continue;
+    found = true;
+    EXPECT_EQ(correct_transport_checksum(pkt), 0xFFFF);
+    EXPECT_EQ(reference_transport_checksum(pkt), 0xFFFF);
+    pkt.udp->checksum = 0;
+    finalize(pkt);
+    EXPECT_EQ(pkt.udp->checksum, 0xFFFF);
+    EXPECT_TRUE(transport_checksum_ok(pkt));
+  }
+  EXPECT_TRUE(found);
 }
 
 // --------------------------------------------------------------- TcpFlags
