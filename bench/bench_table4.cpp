@@ -13,11 +13,9 @@
 //   INTANG                           98.3 / 0.9 / 0.6
 // Outside China (avg): 89.8/92.7/84.6/89.5 for the four strategies.
 //
-// The inside direction runs through exp/benchdef.h (the shared grid
-// definition) so --flight-dir can re-run any anomalous cell's trial traced,
-// and `yourstate explain` can replay the exact same coordinates.
-#include <iterator>
-
+// Both directions run through exp/benchdef.h (the shared grid definition)
+// so --flight-dir can re-run any anomalous cell's trial traced, and
+// `yourstate explain` can replay the exact same coordinates.
 #include "bench_common.h"
 #include "exp/benchdef.h"
 #include "runner/flight_recorder.h"
@@ -27,26 +25,6 @@ namespace {
 
 using namespace ys::exp;
 using namespace ys::bench;
-
-struct Row {
-  strategy::StrategyId id;
-  const char* label;
-};
-
-constexpr Row kOutsideRows[] = {
-    {strategy::StrategyId::kImprovedTeardown, "Improved TCB Teardown"},
-    {strategy::StrategyId::kImprovedInOrder,
-     "Improved In-order Data Overlapping"},
-    {strategy::StrategyId::kCreationResyncDesync,
-     "TCB Creation + Resync/Desync"},
-    {strategy::StrategyId::kTeardownReversal, "TCB Teardown + TCB Reversal"},
-};
-
-struct Agg {
-  std::vector<double> success;
-  std::vector<double> f1;
-  std::vector<double> f2;
-};
 
 std::string mma(const MinMaxAvg& v) {
   return pct(v.min) + " / " + pct(v.max) + " / " + pct(v.avg);
@@ -59,36 +37,64 @@ std::string mma(const MinMaxAvg& v) {
 /// which trace_lint's ctest script exploits) trips it.
 constexpr double kBandTolerance = 0.05;
 
-/// Inside-China direction via the shared bench definition, with the
-/// flight recorder checking every cell against its paper band.
-void run_inside(const RunConfig& cfg, int trials, TextTable& table) {
-  BenchScale scale;
-  scale.trials = trials;
-  scale.servers = cfg.servers > 0 ? cfg.servers : 77;
-  scale.seed = cfg.seed;
-  scale.faults = cfg.faults;
-  const Table4Inside bench(scale);
-  const auto& vps = bench.vantage_points();
-  const std::size_t n_servers = bench.server_population().size();
+/// A trial error (event cap, deadline expiry, or an isolated exception) is
+/// always an anomaly: archive the first one of `cell`, traced.
+void record_trial_error(runner::FlightRecorder& recorder,
+                        const runner::TrialGrid& grid,
+                        const std::vector<Outcome>& slots, std::size_t cell) {
+  for (std::size_t i = 0; i < grid.total(); ++i) {
+    if (grid.coord(i).cell == cell && slots[i] == Outcome::kTrialError) {
+      recorder.record(grid.coord(i),
+                      "trial error (simulation cut off, not a §3.4 outcome)");
+      return;
+    }
+  }
+}
 
-  runner::FlightRecorderOptions fopt;
-  fopt.dir = cfg.flight_dir;
-  fopt.bench = "table4-inside";
-  runner::FlightRecorder fixed_recorder(
-      fopt, [&bench](const runner::GridCoord& c, const std::string& trace,
-                     const std::string& pcap) {
-        return bench.replay_fixed(c, trace, pcap).attribution.verdict;
-      });
-  fopt.bench = "table4-intang";
-  runner::FlightRecorder intang_recorder(
-      fopt, [&bench](const runner::GridCoord& c, const std::string& trace,
-                     const std::string& pcap) {
-        return bench.replay_intang(c, trace, pcap).attribution.verdict;
-      });
+/// One table row from `cell` of a finished grid, as min/max/avg over the
+/// vantage points; then the band check, which archives the cell's first
+/// off-script trial when its pooled success rate drifts from `paper`.
+void add_row(TextTable& table, const char* direction, const char* label,
+             double paper, const runner::TrialGrid& grid,
+             const std::vector<Outcome>& slots, std::size_t cell,
+             runner::FlightRecorder& recorder) {
+  std::vector<double> success, f1, f2;
+  RateTally cell_tally;
+  for (std::size_t v = 0; v < grid.vantages; ++v) {
+    RateTally tally;
+    for (std::size_t s = 0; s < grid.servers; ++s) {
+      for (std::size_t t = 0; t < grid.trials; ++t) {
+        tally.add(slots[grid.index({cell, v, s, t})]);
+        cell_tally.add(slots[grid.index({cell, v, s, t})]);
+      }
+    }
+    success.push_back(tally.success_rate());
+    f1.push_back(tally.failure1_rate());
+    f2.push_back(tally.failure2_rate());
+  }
+  table.add_row({direction, label, mma(aggregate(success)),
+                 mma(aggregate(f1)), mma(aggregate(f2))});
 
-  // Fixed-strategy rows: every trial is independent, plain grid. Slots are
-  // pre-filled with kTrialError so a thrown-and-isolated trial can never
-  // read as a silent success.
+  const runner::AnomalyBand band{paper - kBandTolerance,
+                                 paper + kBandTolerance};
+  const double rate = cell_tally.success_rate();
+  runner::GridCoord example{cell, 0, 0, 0};
+  const Outcome want =
+      rate < band.success_min ? Outcome::kSuccess : Outcome::kFailure1;
+  for (std::size_t i = 0; i < grid.total(); ++i) {
+    if (grid.coord(i).cell == cell && slots[i] != want) {
+      example = grid.coord(i);
+      break;
+    }
+  }
+  recorder.check_band(label, band, rate, example);
+}
+
+/// The fixed-strategy rows of one direction. Every trial is independent,
+/// plain grid; slots are pre-filled with kTrialError so a thrown-and-
+/// isolated trial can never read as a silent success.
+void run_fixed_rows(const Table4Bench& bench, const RunConfig& cfg,
+                    TextTable& table, runner::FlightRecorder& recorder) {
   const runner::TrialGrid grid = bench.fixed_grid();
   auto out = runner::collect_grid_or(
       grid, pool_options(cfg), Outcome::kTrialError,
@@ -97,170 +103,41 @@ void run_inside(const RunConfig& cfg, int trials, TextTable& table) {
       });
   print_runner_report(out.report);
 
-  // A trial error (event cap, deadline expiry, or an isolated exception)
-  // is always an anomaly: archive one representative per row, traced.
-  for (std::size_t r = 0; r < Table4Inside::rows().size(); ++r) {
-    for (std::size_t i = 0; i < grid.total(); ++i) {
-      if (grid.coord(i).cell == r && out.slots[i] == Outcome::kTrialError) {
-        fixed_recorder.record(grid.coord(i), "trial error (simulation cut "
-                                             "off, not a §3.4 outcome)");
-        break;
-      }
-    }
+  const auto& rows = Table4Bench::rows();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    record_trial_error(recorder, grid, out.slots, r);
   }
-
-  for (std::size_t r = 0; r < Table4Inside::rows().size(); ++r) {
-    Agg agg;
-    RateTally cell_tally;
-    for (std::size_t v = 0; v < vps.size(); ++v) {
-      RateTally tally;
-      for (std::size_t s = 0; s < n_servers; ++s) {
-        for (std::size_t t = 0; t < grid.trials; ++t) {
-          tally.add(out.slots[grid.index({r, v, s, t})]);
-          cell_tally.add(out.slots[grid.index({r, v, s, t})]);
-        }
-      }
-      agg.success.push_back(tally.success_rate());
-      agg.f1.push_back(tally.failure1_rate());
-      agg.f2.push_back(tally.failure2_rate());
-    }
-    table.add_row({"Inside China", Table4Inside::rows()[r].label,
-                   mma(aggregate(agg.success)), mma(aggregate(agg.f1)),
-                   mma(aggregate(agg.f2))});
-
-    // Band check: archive the cell's first off-script trial when the
-    // aggregate drifts from the paper value.
-    const double paper = Table4Inside::rows()[r].paper_success;
-    runner::AnomalyBand band{paper - kBandTolerance, paper + kBandTolerance};
-    const double rate = cell_tally.success_rate();
-    runner::GridCoord example{r, 0, 0, 0};
-    const Outcome want =
-        rate < band.success_min ? Outcome::kSuccess : Outcome::kFailure1;
-    for (std::size_t i = 0; i < grid.total(); ++i) {
-      const runner::GridCoord c = grid.coord(i);
-      if (c.cell == r && out.slots[i] != want) {
-        example = c;
-        break;
-      }
-    }
-    fixed_recorder.check_band(Table4Inside::rows()[r].label, band, rate,
-                              example);
+  const char* direction =
+      bench.direction() == Table4Bench::Direction::kInside ? "Inside China"
+                                                           : "Outside China";
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    add_row(table, direction, rows[r].label, bench.paper_average(r), grid,
+            out.slots, r, recorder);
   }
-
-  // INTANG row: one persistent selector per (vantage point, server) pair,
-  // so knowledge accumulates across the repeated trials exactly like the
-  // tool's Redis cache does across page loads. The trial axis is a
-  // sequential dependency, so the grid is chained: each chain runs its
-  // trials in order on one worker against its own selector.
-  const runner::TrialGrid igrid = bench.intang_grid();
-  std::vector<intang::StrategySelector> selectors(
-      igrid.chains(),
-      intang::StrategySelector{intang::StrategySelector::Config{}});
-  auto iout = runner::collect_grid_or(
-      igrid, pool_options(cfg), Outcome::kTrialError,
-      [&bench, &igrid, &selectors](const runner::GridCoord& c,
-                                   runner::TaskContext&) {
-        return bench.run_intang(c, selectors[igrid.chain(c)]).outcome;
-      });
-  print_runner_report(iout.report);
-
-  for (std::size_t i = 0; i < igrid.total(); ++i) {
-    if (iout.slots[i] == Outcome::kTrialError) {
-      intang_recorder.record(igrid.coord(i), "trial error (simulation cut "
-                                             "off, not a §3.4 outcome)");
-      break;
-    }
-  }
-
-  Agg agg;
-  RateTally cell_tally;
-  for (std::size_t v = 0; v < vps.size(); ++v) {
-    RateTally tally;
-    for (std::size_t s = 0; s < n_servers; ++s) {
-      for (std::size_t t = 0; t < igrid.trials; ++t) {
-        tally.add(iout.slots[igrid.index({0, v, s, t})]);
-        cell_tally.add(iout.slots[igrid.index({0, v, s, t})]);
-      }
-    }
-    agg.success.push_back(tally.success_rate());
-    agg.f1.push_back(tally.failure1_rate());
-    agg.f2.push_back(tally.failure2_rate());
-  }
-  table.add_row({"Inside China", "INTANG Performance",
-                 mma(aggregate(agg.success)), mma(aggregate(agg.f1)),
-                 mma(aggregate(agg.f2))});
-
-  runner::AnomalyBand band{Table4Inside::kIntangPaperSuccess - kBandTolerance,
-                           Table4Inside::kIntangPaperSuccess + kBandTolerance};
-  const double rate = cell_tally.success_rate();
-  runner::GridCoord example{0, 0, 0, 0};
-  const Outcome want =
-      rate < band.success_min ? Outcome::kSuccess : Outcome::kFailure1;
-  for (std::size_t i = 0; i < igrid.total(); ++i) {
-    if (iout.slots[i] != want) {
-      example = igrid.coord(i);
-      break;
-    }
-  }
-  intang_recorder.check_band("INTANG Performance", band, rate, example);
-
-  const std::string freport =
-      fixed_recorder.report() + intang_recorder.report();
-  if (!freport.empty()) std::printf("\n%s", freport.c_str());
 }
 
-/// Outside-China direction: the legacy inline grid (no INTANG row, no
-/// flight recorder — the paper gives only per-strategy averages here).
-void run_outside(const RunConfig& cfg, int trials,
-                 const Calibration& cal, const gfw::DetectionRules& rules,
-                 TextTable& table) {
-  const auto vps = foreign_vantage_points();
-  const int n = cfg.servers > 0 ? cfg.servers : 33;
-  const auto servers = make_server_population(n, cfg.seed, cal, false);
-
-  runner::TrialGrid grid;
-  grid.cells = std::size(kOutsideRows);
-  grid.vantages = vps.size();
-  grid.servers = servers.size();
-  grid.trials = static_cast<std::size_t>(trials);
-  auto out = runner::collect_grid(
-      grid, pool_options(cfg),
-      [&](const runner::GridCoord& c, runner::TaskContext&) {
-        const Row& row = kOutsideRows[c.cell];
-        const auto& vp = vps[c.vantage];
-        const auto& srv = servers[c.server];
-        ScenarioOptions opt;
-        opt.vp = vp;
-        opt.server = srv;
-        opt.cal = cal;
-        opt.seed = Rng::mix_seed({cfg.seed, static_cast<u64>(row.id),
-                                  Rng::hash_label(vp.name), srv.ip,
-                                  static_cast<u64>(c.trial)});
-        Scenario sc(&rules, opt);
-        HttpTrialOptions http;
-        http.with_keyword = true;
-        http.strategy = row.id;
-        return run_http_trial(sc, http).outcome;
+/// INTANG row: one persistent selector per (vantage point, server) pair,
+/// so knowledge accumulates across the repeated trials exactly like the
+/// tool's Redis cache does across page loads. The trial axis is a
+/// sequential dependency, so the grid is chained: each chain runs its
+/// trials in order on one worker against its own selector.
+void run_intang_row(const Table4Bench& bench, const RunConfig& cfg,
+                    TextTable& table, runner::FlightRecorder& recorder) {
+  const runner::TrialGrid grid = bench.intang_grid();
+  std::vector<intang::StrategySelector> selectors(
+      grid.chains(),
+      intang::StrategySelector{intang::StrategySelector::Config{}});
+  auto out = runner::collect_grid_or(
+      grid, pool_options(cfg), Outcome::kTrialError,
+      [&bench, &grid, &selectors](const runner::GridCoord& c,
+                                  runner::TaskContext&) {
+        return bench.run_intang(c, selectors[grid.chain(c)]).outcome;
       });
   print_runner_report(out.report);
 
-  for (std::size_t r = 0; r < std::size(kOutsideRows); ++r) {
-    Agg agg;
-    for (std::size_t v = 0; v < vps.size(); ++v) {
-      RateTally tally;
-      for (std::size_t s = 0; s < servers.size(); ++s) {
-        for (std::size_t t = 0; t < grid.trials; ++t) {
-          tally.add(out.slots[grid.index({r, v, s, t})]);
-        }
-      }
-      agg.success.push_back(tally.success_rate());
-      agg.f1.push_back(tally.failure1_rate());
-      agg.f2.push_back(tally.failure2_rate());
-    }
-    table.add_row({"Outside China", kOutsideRows[r].label,
-                   mma(aggregate(agg.success)), mma(aggregate(agg.f1)),
-                   mma(aggregate(agg.f2))});
-  }
+  record_trial_error(recorder, grid, out.slots, 0);
+  add_row(table, "Inside China", "INTANG Performance",
+          Table4Bench::kIntangPaperSuccess, grid, out.slots, 0, recorder);
 }
 
 int run(int argc, char** argv) {
@@ -271,15 +148,48 @@ int run(int argc, char** argv) {
                "Wang et al., IMC'17, Table 4");
   std::printf("trials per pair: %d (paper: 50)\n\n", trials);
 
-  const gfw::DetectionRules rules = gfw::DetectionRules::standard();
-  const Calibration cal = Calibration::standard();
+  BenchScale scale;
+  scale.trials = trials;
+  scale.seed = cfg.seed;
+  scale.faults = cfg.faults;
+  scale.servers = cfg.servers > 0 ? cfg.servers : 77;
+  const Table4Bench inside(scale);
+  scale.servers = cfg.servers > 0 ? cfg.servers : 33;
+  const Table4Bench outside(scale, Table4Bench::Direction::kOutside);
+
+  // One recorder per explain target, each checking its cells against
+  // their paper bands.
+  const auto recorder = [&cfg](const char* name, const Table4Bench& bench,
+                               bool intang) {
+    runner::FlightRecorderOptions fopt;
+    fopt.dir = cfg.flight_dir;
+    fopt.bench = name;
+    return runner::FlightRecorder(
+        fopt, [&bench, intang](const runner::GridCoord& c,
+                               const std::string& trace,
+                               const std::string& pcap) {
+          return (intang ? bench.replay_intang(c, trace, pcap)
+                         : bench.replay_fixed(c, trace, pcap))
+              .attribution.verdict;
+        });
+  };
+  runner::FlightRecorder inside_recorder =
+      recorder("table4-inside", inside, false);
+  runner::FlightRecorder intang_recorder =
+      recorder("table4-intang", inside, true);
+  runner::FlightRecorder outside_recorder =
+      recorder("table4-outside", outside, false);
 
   TextTable table({"Vantage Points", "Strategy", "Success (min/max/avg)",
                    "Failure 1 (min/max/avg)", "Failure 2 (min/max/avg)"});
+  run_fixed_rows(inside, cfg, table, inside_recorder);
+  run_intang_row(inside, cfg, table, intang_recorder);
+  run_fixed_rows(outside, cfg, table, outside_recorder);
 
-  run_inside(cfg, trials, table);
-  run_outside(cfg, trials, cal, rules, table);
-
+  const std::string freport = inside_recorder.report() +
+                              intang_recorder.report() +
+                              outside_recorder.report();
+  if (!freport.empty()) std::printf("\n%s", freport.c_str());
   std::printf("%s\n", table.render().c_str());
   return 0;
 }

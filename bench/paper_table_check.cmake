@@ -2,9 +2,10 @@
 # its table lines byte-for-byte with the expected file under tests/golden/.
 #
 # Run via `cmake -P` so the comparison needs no shell or diff tool. The
-# bench is run with --trials=3 --seed=7 --jobs=${JOBS}; everything before
-# the `runner:` trailer (printed only at jobs > 1) is compared, with
-# trailing blank lines dropped, so one expected file serves every --jobs.
+# bench is run with --trials=3 --seed=7 --jobs=${JOBS}; every `runner:`
+# report block (printed only at jobs > 1, one per grid run, each with its
+# worker lines and virtual-time profile) is dropped and trailing blank
+# lines are ignored, so one expected file serves every --jobs.
 #
 # Required -D variables:
 #   BENCH   path to the bench binary (bench_table1, bench_table2, ...)
@@ -29,10 +30,12 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with ${rc}")
 endif()
 
-string(FIND "${out}" "\nrunner:" trailer)
-if(NOT trailer EQUAL -1)
-  string(SUBSTRING "${out}" 0 ${trailer} out)
-endif()
+# A block is exactly what print_runner_report emits: "\nrunner: ..." and its
+# indented worker lines, then optionally "\nsuccess virtual-time profile"
+# and its indented lines, ending in a newline.
+string(REGEX REPLACE
+  "\nrunner:[^\n]*(\n  [^\n]*|\n\nsuccess virtual-time profile[^\n]*)*\n"
+  "" out "${out}")
 string(REGEX REPLACE "\n+$" "" out "${out}")
 
 if(BLESS)

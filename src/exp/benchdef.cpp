@@ -42,16 +42,16 @@ const std::array<Table1Bench::Row, 16>& Table1Bench::rows() {
   return kRows;
 }
 
-const std::array<Table4Inside::Row, 4>& Table4Inside::rows() {
+const std::array<Table4Bench::Row, 4>& Table4Bench::rows() {
   static const std::array<Row, 4> kRows = {{
       {strategy::StrategyId::kImprovedTeardown, "Improved TCB Teardown",
-       0.958},
+       0.958, 0.898},
       {strategy::StrategyId::kImprovedInOrder,
-       "Improved In-order Data Overlapping", 0.945},
+       "Improved In-order Data Overlapping", 0.945, 0.927},
       {strategy::StrategyId::kCreationResyncDesync,
-       "TCB Creation + Resync/Desync", 0.956},
+       "TCB Creation + Resync/Desync", 0.956, 0.846},
       {strategy::StrategyId::kTeardownReversal,
-       "TCB Teardown + TCB Reversal", 0.962},
+       "TCB Teardown + TCB Reversal", 0.962, 0.895},
   }};
   return kRows;
 }
@@ -88,22 +88,24 @@ HttpTrialOptions fetch(bool keyword, strategy::StrategyId strategy,
 // ----------------------------------------------------------- bench world
 
 BenchWorld::BenchWorld(BenchScale scale)
-    : BenchWorld(scale, make_server_population(scale.servers, scale.seed,
-                                               Calibration::standard(),
-                                               /*inside_china=*/true)) {}
+    : BenchWorld(scale, china_vantage_points(),
+                 make_server_population(scale.servers, scale.seed,
+                                        Calibration::standard(),
+                                        /*inside_china=*/true)) {}
 
-BenchWorld::BenchWorld(BenchScale scale, std::vector<ServerSpec> servers)
+BenchWorld::BenchWorld(BenchScale scale, std::vector<VantagePoint> vps,
+                       std::vector<ServerSpec> servers)
     : scale_(std::move(scale)),
       cal_(Calibration::standard()),
       rules_(gfw::DetectionRules::standard()),
-      vps_(china_vantage_points()),
+      vps_(std::move(vps)),
       servers_(std::move(servers)),
       plan_(parse_scale_plan(scale_.faults)),
       profiles_(vps_, servers_, cal_) {}
 
 ScenarioOptions BenchWorld::scenario_options(
     std::size_t vantage, std::size_t server, u64 seed, bool tracing,
-    const faults::FaultPlan& plan) const {
+    const faults::FaultPlan* plan) const {
   ScenarioOptions opt;
   opt.vp = vps_[vantage];
   opt.server = servers_[server];
@@ -111,8 +113,14 @@ ScenarioOptions BenchWorld::scenario_options(
   opt.seed = seed;
   opt.profile = profiles_.get(vantage, server);
   opt.tracing = tracing;
-  if (!plan.empty()) opt.faults = &plan;
+  if (plan != nullptr && !plan->empty()) opt.faults = plan;
   return opt;
+}
+
+runner::TrialGrid BenchWorld::world_grid(std::size_t cells,
+                                         bool chained) const {
+  return {cells, vps_.size(), servers_.size(),
+          static_cast<std::size_t>(scale_.trials), chained};
 }
 
 TrialResult BenchWorld::run_http(HttpTrial trial) const {
@@ -131,12 +139,7 @@ Replay BenchWorld::replay_http(HttpTrial trial, const std::string& trace_path,
 // ------------------------------------------------------------- Table 1
 
 runner::TrialGrid Table1Bench::grid() const {
-  runner::TrialGrid grid;
-  grid.cells = rows().size() * 2;
-  grid.vantages = vps_.size();
-  grid.servers = servers_.size();
-  grid.trials = static_cast<std::size_t>(scale_.trials);
-  return grid;
+  return world_grid(rows().size() * 2, /*chained=*/false);
 }
 
 BenchWorld::HttpTrial Table1Bench::trial_for(const runner::GridCoord& c,
@@ -146,7 +149,7 @@ BenchWorld::HttpTrial Table1Bench::trial_for(const runner::GridCoord& c,
       {scale_.seed, static_cast<u64>(id), Rng::hash_label(vps_[c.vantage].name),
        servers_[c.server].ip, static_cast<u64>(c.trial),
        keyword_cell(c.cell) ? 1u : 0u});
-  return {scenario_options(c.vantage, c.server, seed, tracing, plan_),
+  return {scenario_options(c.vantage, c.server, seed, tracing, &plan_),
           fetch(keyword_cell(c.cell), id, nullptr)};
 }
 
@@ -162,62 +165,66 @@ Replay Table1Bench::replay(const runner::GridCoord& c,
 
 // ------------------------------------------------------------- Table 4
 
-runner::TrialGrid Table4Inside::fixed_grid() const {
-  runner::TrialGrid grid;
-  grid.cells = rows().size();
-  grid.vantages = vps_.size();
-  grid.servers = servers_.size();
-  grid.trials = static_cast<std::size_t>(scale_.trials);
-  return grid;
+Table4Bench::Table4Bench(BenchScale scale, Direction direction)
+    : BenchWorld(scale,
+                 direction == Direction::kInside ? china_vantage_points()
+                                                 : foreign_vantage_points(),
+                 make_server_population(scale.servers, scale.seed,
+                                        Calibration::standard(),
+                                        direction == Direction::kInside)),
+      direction_(direction) {}
+
+double Table4Bench::paper_average(std::size_t row) const {
+  return direction_ == Direction::kInside ? rows()[row].paper_success
+                                          : rows()[row].paper_success_outside;
 }
 
-runner::TrialGrid Table4Inside::intang_grid() const {
-  runner::TrialGrid grid;
-  grid.vantages = vps_.size();
-  grid.servers = servers_.size();
-  grid.trials = static_cast<std::size_t>(scale_.trials);
-  grid.chain_trials = true;
-  return grid;
+runner::TrialGrid Table4Bench::fixed_grid() const {
+  return world_grid(rows().size(), /*chained=*/false);
 }
 
-BenchWorld::HttpTrial Table4Inside::fixed_trial(const runner::GridCoord& c,
+runner::TrialGrid Table4Bench::intang_grid() const {
+  return world_grid(1, /*chained=*/true);
+}
+
+BenchWorld::HttpTrial Table4Bench::fixed_trial(const runner::GridCoord& c,
                                                 bool tracing) const {
   const strategy::StrategyId id = rows()[c.cell].id;
   const u64 seed = Rng::mix_seed({scale_.seed, static_cast<u64>(id),
                                   Rng::hash_label(vps_[c.vantage].name),
                                   servers_[c.server].ip,
                                   static_cast<u64>(c.trial)});
-  return {scenario_options(c.vantage, c.server, seed, tracing, plan_),
+  return {scenario_options(c.vantage, c.server, seed, tracing, &plan_),
           fetch(/*keyword=*/true, id, nullptr)};
 }
 
-BenchWorld::HttpTrial Table4Inside::intang_trial(
+BenchWorld::HttpTrial Table4Bench::intang_trial(
     const runner::GridCoord& c, intang::StrategySelector& selector,
     bool tracing) const {
   const u64 seed = Rng::mix_seed({scale_.seed, 0x1474a6ULL,
                                   Rng::hash_label(vps_[c.vantage].name),
                                   servers_[c.server].ip,
                                   static_cast<u64>(c.trial)});
-  return {scenario_options(c.vantage, c.server, seed, tracing, plan_),
+  return {scenario_options(c.vantage, c.server, seed, tracing, &plan_),
           fetch(/*keyword=*/true, strategy::StrategyId::kNone, &selector)};
 }
 
-TrialResult Table4Inside::run_fixed(const runner::GridCoord& c) const {
+TrialResult Table4Bench::run_fixed(const runner::GridCoord& c) const {
   return run_http(fixed_trial(c, /*tracing=*/false));
 }
 
-TrialResult Table4Inside::run_intang(const runner::GridCoord& c,
+TrialResult Table4Bench::run_intang(const runner::GridCoord& c,
                                      intang::StrategySelector& selector) const {
   return run_http(intang_trial(c, selector, /*tracing=*/false));
 }
 
-Replay Table4Inside::replay_fixed(const runner::GridCoord& c,
+Replay Table4Bench::replay_fixed(const runner::GridCoord& c,
                                   const std::string& trace_path,
                                   const std::string& pcap_path) const {
   return replay_http(fixed_trial(c, /*tracing=*/true), trace_path, pcap_path);
 }
 
-Replay Table4Inside::replay_intang(const runner::GridCoord& c,
+Replay Table4Bench::replay_intang(const runner::GridCoord& c,
                                    const std::string& trace_path,
                                    const std::string& pcap_path) const {
   intang::StrategySelector selector{intang::StrategySelector::Config{}};
@@ -236,13 +243,7 @@ FaultsBench::FaultsBench(BenchScale scale)
                                    : std::vector<faults::FaultPlan>{plan_}) {}
 
 runner::TrialGrid FaultsBench::grid() const {
-  runner::TrialGrid grid;
-  grid.cells = plans_.size() * 2;
-  grid.vantages = vps_.size();
-  grid.servers = servers_.size();
-  grid.trials = static_cast<std::size_t>(scale_.trials);
-  grid.chain_trials = true;
-  return grid;
+  return world_grid(plans_.size() * 2, /*chained=*/true);
 }
 
 BenchWorld::HttpTrial FaultsBench::trial_for(
@@ -255,7 +256,7 @@ BenchWorld::HttpTrial FaultsBench::trial_for(
                                   static_cast<u64>(c.trial)});
   // Baseline cells never touch the selector.
   HttpTrial trial{scenario_options(c.vantage, c.server, seed, tracing,
-                                   plans_[plan_of(c.cell)]),
+                                   &plans_[plan_of(c.cell)]),
                   fetch(/*keyword=*/true, strategy::StrategyId::kNone,
                         intang_cell(c.cell) ? &selector : nullptr)};
   // Generous virtual-time deadline: honest trials quiesce in simulated
@@ -294,7 +295,7 @@ const std::array<Table6Dns::Resolver, 3>& Table6Dns::resolvers() {
 }
 
 Table6Dns::Table6Dns(BenchScale scale)
-    : BenchWorld(std::move(scale), [] {
+    : BenchWorld(std::move(scale), china_vantage_points(), [] {
         std::vector<ServerSpec> specs;
         for (const Resolver& r : resolvers()) {
           ServerSpec spec;
@@ -310,11 +311,8 @@ Table6Dns::Table6Dns(BenchScale scale)
 }
 
 runner::TrialGrid Table6Dns::grid() const {
-  runner::TrialGrid grid;
-  grid.cells = resolvers().size();
-  grid.vantages = vps_.size();
-  grid.trials = static_cast<std::size_t>(scale_.trials);
-  grid.chain_trials = true;
+  runner::TrialGrid grid = world_grid(resolvers().size(), /*chained=*/true);
+  grid.servers = 1;  // the resolvers are the cell axis
   return grid;
 }
 
@@ -329,7 +327,7 @@ Table6Dns::Query Table6Dns::query_for(const runner::GridCoord& c,
   // The resolver is the cell axis (grids here have servers = 1), so the
   // pooled profile is indexed by (vantage, resolver).
   Query q{resolver.censored ? &rules_ : &uncensored_,
-          scenario_options(c.vantage, c.cell, seed, tracing, plan_),
+          scenario_options(c.vantage, c.cell, seed, tracing, &plan_),
           {}};
   // Tianjin's resolver paths suffer stateful interference that blackholes
   // a large share of the TCP DNS flows (Table 6).
@@ -376,8 +374,8 @@ Replay Table6Dns::replay(const runner::GridCoord& c,
 
 const std::vector<std::string>& known_benches() {
   static const std::vector<std::string> kNames = {
-      "table1", "table4-inside", "table4-intang", "table6-dns", "faults",
-      "fleet"};
+      "table1",     "table4-inside", "table4-outside", "table4-intang",
+      "table6-dns", "faults",        "fleet"};
   return kNames;
 }
 

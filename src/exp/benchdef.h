@@ -48,9 +48,12 @@ void replay_chain_prefix(const runner::GridCoord& c, State& state,
   }
 }
 
-/// What every paper bench shares: its scale, calibration, detection rules,
-/// vantage points, server population, fault plan and pooled path profiles,
-/// plus the one ScenarioOptions builder their trials are built from.
+/// What every trial grid shares — the paper benches, the fleet and the
+/// strategy search: its scale, calibration, detection rules, vantage
+/// points, server population, fault plan and pooled path profiles, plus
+/// the one ScenarioOptions builder their trials are built from. A search
+/// or fleet trial toward (vantage, server) therefore runs on exactly the
+/// path a bench trial toward the same pair draws.
 class BenchWorld {
  public:
   const BenchScale& scale() const { return scale_; }
@@ -58,15 +61,20 @@ class BenchWorld {
   const std::vector<ServerSpec>& server_population() const { return servers_; }
 
  protected:
-  /// The scale's seeded inside-China server population.
+  /// Every inside-China vantage point and the scale's seeded inside-China
+  /// server population.
   explicit BenchWorld(BenchScale scale);
-  BenchWorld(BenchScale scale, std::vector<ServerSpec> servers);
+  BenchWorld(BenchScale scale, std::vector<VantagePoint> vps,
+             std::vector<ServerSpec> servers);
 
   /// Options of one trial toward `servers_[server]` from `vps_[vantage]`
-  /// under `plan` (empty = fault-free).
+  /// under `plan` (nullptr or empty = fault-free).
   ScenarioOptions scenario_options(std::size_t vantage, std::size_t server,
                                    u64 seed, bool tracing,
-                                   const faults::FaultPlan& plan) const;
+                                   const faults::FaultPlan* plan) const;
+
+  /// `cells` × every vantage point × every server × the scale's trials.
+  runner::TrialGrid world_grid(std::size_t cells, bool chained) const;
 
   /// One HTTP trial of a bench row, built in one place for both its
   /// untraced grid run (run_http) and its traced replay (replay_http).
@@ -120,21 +128,33 @@ class Table1Bench : public BenchWorld {
   HttpTrial trial_for(const runner::GridCoord& c, bool tracing) const;
 };
 
-/// The inside-China direction of Table 4: fixed-strategy rows plus the
-/// INTANG adaptive row. Owns the populations and seed formulas.
-class Table4Inside : public BenchWorld {
+/// Table 4 in one direction: the fixed-strategy rows from the inside-China
+/// vantage points toward foreign servers, or from the foreign vantage
+/// points toward Chinese servers, plus (inside China) the INTANG adaptive
+/// row. Owns the populations and seed formulas; the fixed rows' seed
+/// formula is the same in both directions.
+class Table4Bench : public BenchWorld {
  public:
+  enum class Direction { kInside, kOutside };
   struct Row {
     strategy::StrategyId id;
     const char* label;
-    /// Paper Table 4 average success rate (inside China), as a fraction.
-    double paper_success;
+    /// Paper Table 4 average success rates, as fractions.
+    double paper_success;          // inside China
+    double paper_success_outside;  // outside China
   };
   static const std::array<Row, 4>& rows();
   /// Paper average success rate of the INTANG row (98.3 %).
   static constexpr double kIntangPaperSuccess = 0.983;
 
-  explicit Table4Inside(BenchScale scale) : BenchWorld(std::move(scale)) {}
+  /// The direction's vantage points and the scale's seeded server
+  /// population on the far side of the GFW.
+  explicit Table4Bench(BenchScale scale,
+                       Direction direction = Direction::kInside);
+
+  Direction direction() const { return direction_; }
+  /// Paper average success rate of fixed row `row` in this direction.
+  double paper_average(std::size_t row) const;
 
   /// Grid over the fixed-strategy rows (cell = row index).
   runner::TrialGrid fixed_grid() const;
@@ -166,7 +186,13 @@ class Table4Inside : public BenchWorld {
   HttpTrial intang_trial(const runner::GridCoord& c,
                          intang::StrategySelector& selector,
                          bool tracing) const;
+
+  Direction direction_;
 };
+
+/// The inside direction's name, through which the ysbench harness (whose
+/// files change only with the benchmark) builds its table4-grid workload.
+using Table4Inside = Table4Bench;
 
 /// Table 6: TCP DNS censorship evasion (§7.2) — INTANG's DNS forwarder
 /// toward Dyn's public resolvers, plus the uncensored OpenDNS anecdote

@@ -320,12 +320,14 @@ Replay run_traced(Scenario& sc,
   Replay replay;
   replay.result = body(sc);
   sc.path().set_client_capture({});  // the capture must not outlive `writer`
+  if (writer.is_open()) replay.pcap_packets = writer.packets_written();
   replay.old_model = sc.path_runs_old_model();
   replay.ladder = sc.trace().render();
   replay.attribution =
       attribute_verdict(sc.trace(), replay.result.outcome, replay.old_model);
   if (!trace_path.empty()) {
-    if (!obs::write_chrome_trace(trace_path, sc.trace())) {
+    replay.trace_written = obs::write_chrome_trace(trace_path, sc.trace());
+    if (!replay.trace_written) {
       std::fprintf(stderr, "cannot write trace file %s\n", trace_path.c_str());
     }
   }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,14 +54,17 @@ struct Replay {
   std::string ladder;       ///< rendered text trace
   Attribution attribution;  ///< causal verdict attribution
   bool old_model = false;   ///< the path ran the prior GFW model
+  /// Packets the capture wrote to the pcap; nullopt when none was open.
+  std::optional<std::size_t> pcap_packets;
+  bool trace_written = false;  ///< the Chrome trace reached its file
 };
 
-/// The one traced-replay harness behind every bench's replay, the fleet's
-/// replay_flow and the search engine's replay: attach the client wire
-/// capture to `pcap_path` (when non-empty), run `body` on `sc` (built with
-/// tracing on), render the ladder, attribute the verdict, and write the
-/// Chrome trace to `trace_path` (when non-empty). Capture and trace-file
-/// failures are warned about on stderr, not fatal.
+/// The one traced-run harness behind every bench's replay, the fleet's
+/// replay_flow, the search engine's replay and `yourstate trial`: attach
+/// the client wire capture to `pcap_path` (when non-empty), run `body` on
+/// `sc`, render the ladder, attribute the verdict, and write the Chrome
+/// trace to `trace_path` (when non-empty). Capture and trace-file failures
+/// are warned about on stderr, not fatal.
 Replay run_traced(Scenario& sc,
                   const std::function<TrialResult(Scenario&)>& body,
                   const std::string& trace_path, const std::string& pcap_path);

@@ -80,22 +80,20 @@ Fleet::FlowRecord Fleet::FlowRecord::decode(i64 slot) {
 }
 
 Fleet::Fleet(FleetConfig cfg)
-    : cfg_(std::move(cfg)),
-      cal_(exp::Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
-      vps_([&] {
-        std::vector<exp::VantagePoint> vps = exp::china_vantage_points();
-        if (cfg_.vantages > 0 &&
-            static_cast<std::size_t>(cfg_.vantages) < vps.size()) {
-          vps.resize(static_cast<std::size_t>(cfg_.vantages));
-        }
-        return vps;
-      }()),
-      servers_(exp::make_server_population(cfg_.servers, cfg_.seed, cal_,
-                                           /*inside_china=*/true)),
-      // Batched scenario construction: every (vantage, server) profile is
-      // drawn once here and reused by all of the sweep's flows.
-      profiles_(vps_, servers_, cal_) {}
+    : BenchWorld({.servers = cfg.servers, .seed = cfg.seed, .faults = {}},
+                 [&cfg] {
+                   std::vector<exp::VantagePoint> vps =
+                       exp::china_vantage_points();
+                   if (cfg.vantages > 0 &&
+                       static_cast<std::size_t>(cfg.vantages) < vps.size()) {
+                     vps.resize(static_cast<std::size_t>(cfg.vantages));
+                   }
+                   return vps;
+                 }(),
+                 exp::make_server_population(cfg.servers, cfg.seed,
+                                             exp::Calibration::standard(),
+                                             /*inside_china=*/true)),
+      cfg_(std::move(cfg)) {}
 
 runner::TrialGrid Fleet::grid() const {
   runner::TrialGrid grid;
@@ -141,22 +139,16 @@ u64 Fleet::flow_seed(const runner::GridCoord& c, const FlowSpec& flow) const {
 exp::ScenarioOptions Fleet::options_for(const runner::GridCoord& c,
                                         const FlowSpec& flow,
                                         bool tracing) const {
-  exp::ScenarioOptions opt;
-  opt.vp = vps_[c.vantage];
-  opt.server = servers_[static_cast<std::size_t>(flow.server)];
-  opt.cal = cal_;
-  opt.seed = flow_seed(c, flow);
-  opt.profile = profiles_.get(c.vantage, static_cast<std::size_t>(flow.server));
+  exp::ScenarioOptions opt = scenario_options(
+      c.vantage, static_cast<std::size_t>(flow.server), flow_seed(c, flow),
+      tracing,
+      flow.soak_phase >= 0
+          ? &cfg_.soak[static_cast<std::size_t>(flow.soak_phase)].plan
+          : nullptr);
   opt.start_time = flow.at;
-  opt.tracing = tracing;
   // A fleet sweep must survive any flow wedging under a soak plan: bound
   // every flow in virtual time so it degrades to kTrialError, not a hang.
   opt.deadline = SimTime::from_sec(120);
-  if (flow.soak_phase >= 0) {
-    const faults::FaultPlan& plan =
-        cfg_.soak[static_cast<std::size_t>(flow.soak_phase)].plan;
-    if (!plan.empty()) opt.faults = &plan;
-  }
   return opt;
 }
 

@@ -49,7 +49,10 @@ struct VantageRange {
   std::size_t end = static_cast<std::size_t>(-1);
 };
 
-class Fleet {
+/// The fleet's world is a BenchWorld: the first cfg.vantages inside-China
+/// vantage points and cfg.servers seeded inside-China servers, so a flow
+/// toward (vantage, server) draws exactly the path a bench trial does.
+class Fleet : public exp::BenchWorld {
  public:
   /// One flow's outcome, compressed into a results-store slot.
   struct FlowRecord {
@@ -88,10 +91,6 @@ class Fleet {
   explicit Fleet(FleetConfig cfg);
 
   const FleetConfig& config() const { return cfg_; }
-  const std::vector<exp::VantagePoint>& vantage_points() const { return vps_; }
-  const std::vector<exp::ServerSpec>& server_population() const {
-    return servers_;
-  }
 
   /// One chain per vantage: {cells=1, vantages=V, servers=1 (the schedule
   /// carries the real server axis), trials=flows, chain_trials}.
@@ -234,11 +233,6 @@ class Fleet {
   u64 flow_seed(const runner::GridCoord& c, const FlowSpec& flow) const;
 
   FleetConfig cfg_;
-  exp::Calibration cal_;
-  gfw::DetectionRules rules_;
-  std::vector<exp::VantagePoint> vps_;
-  std::vector<exp::ServerSpec> servers_;
-  exp::PathProfileCache profiles_;
   mutable LiveStats live_;
 };
 

@@ -18,21 +18,22 @@ net::IpAddr DnsPoisoner::bogus_address(Rng& rng) {
 }
 
 void DnsPoisoner::process(net::Packet pkt, net::Dir dir, net::Forwarder& fwd) {
-  net::Packet copy = pkt;
+  // Only client→resolver UDP queries on port 53 are interesting; the tap
+  // reads what it needs before the packet passes on, so nothing is copied.
+  if (!pkt.is_udp() || pkt.udp->dst_port != 53) {
+    fwd.forward(std::move(pkt));
+    return;
+  }
+  auto parsed = app::dns_parse(pkt.payload);
+  const net::FourTuple reply = pkt.tuple().reversed();
   fwd.forward(std::move(pkt));
-
-  // Only client→resolver UDP queries on port 53 are interesting.
-  if (!copy.is_udp() || copy.udp->dst_port != 53) return;
-
-  auto parsed = app::dns_parse(copy.payload);
   if (!parsed.ok() || parsed.value().is_response) return;
   const app::DnsMessage& query = parsed.value();
 
   for (const auto& q : query.questions) {
     if (!rules_->dns_blacklist.contains(q.qname)) continue;
     app::DnsMessage forged = app::make_response(query, bogus_address(rng_));
-    net::Packet response =
-        net::make_udp_packet(copy.tuple().reversed(), app::dns_encode(forged));
+    net::Packet response = net::make_udp_packet(reply, app::dns_encode(forged));
     ++poisoned_;
     fwd.inject(std::move(response), net::opposite(dir), reaction_delay_);
     return;

@@ -121,30 +121,35 @@ void GfwDevice::inspect(const net::Packet& pkt, net::Dir dir,
                         net::Forwarder& fwd) {
   metrics().packets_seen.inc();
   // The GFW reassembles IP fragments itself (preferring the first copy of
-  // any overlapped range — the [17] behaviour that still holds).
-  std::optional<net::Packet> whole = reassembler_.push(pkt);
-  if (!whole) return;
-  if (!whole->is_tcp()) return;  // UDP DNS is the DnsPoisoner's job
+  // any overlapped range — the [17] behaviour that still holds); a whole
+  // datagram is read in place.
+  std::optional<net::Packet> reassembled;
+  if (pkt.ip.is_fragmented()) {
+    reassembled = reassembler_.push(pkt);
+    if (!reassembled) return;
+  }
+  const net::Packet& whole = reassembled ? *reassembled : pkt;
+  if (!whole.is_tcp()) return;  // UDP DNS is the DnsPoisoner's job
 
   // Tor aftermath: a confirmed-bridge IP is blocked on every port.
-  if (ip_blocklist_.contains(whole->ip.dst) ||
-      ip_blocklist_.contains(whole->ip.src)) {
+  if (ip_blocklist_.contains(whole.ip.dst) ||
+      ip_blocklist_.contains(whole.ip.src)) {
     metrics().ip_block_hits.inc();
     trace_state(obs::GfwState::kNone, obs::GfwState::kNone,
                 obs::GfwBehavior::kIpBlock,
                 "endpoint on the IP blocklist; injecting response");
-    inject_all(injector_.ip_block_response(*whole, dir), fwd);
+    inject_all(injector_.ip_block_response(whole, dir), fwd);
     return;
   }
 
   // 90-second host-pair blocking period after a detection.
   if (cfg_.enforce_block_period &&
-      host_pair_blocked(whole->ip.src, whole->ip.dst, fwd.now())) {
+      host_pair_blocked(whole.ip.src, whole.ip.dst, fwd.now())) {
     metrics().block_period_hits.inc();
     trace_state(obs::GfwState::kNone, obs::GfwState::kNone,
                 obs::GfwBehavior::kBlockPeriod,
                 "host pair inside the 90 s block period; forging responses");
-    auto injections = injector_.block_period_response(*whole, dir);
+    auto injections = injector_.block_period_response(whole, dir);
     for (const auto& inj : injections) {
       if (inj.packet.tcp->flags.syn && inj.packet.tcp->flags.ack) {
         ++forged_syn_acks_;
@@ -155,13 +160,13 @@ void GfwDevice::inspect(const net::Packet& pkt, net::Dir dir,
     return;
   }
 
-  const net::TcpHeader& t = *whole->tcp;
+  const net::TcpHeader& t = *whole.tcp;
 
   // NOTE the deliberate absence of validation here: wrong checksums,
   // unsolicited MD5 options, wrong ACK numbers and stale timestamps are
   // all processed as if valid (Table 3's GFW column). The harden_* flags
   // below model the §8 countermeasures and default off.
-  if (cfg_.harden_validate_checksum && !net::transport_checksum_ok(*whole)) {
+  if (cfg_.harden_validate_checksum && !net::transport_checksum_ok(whole)) {
     trace_ignore("bad transport checksum dropped by hardened GFW");
     return;
   }
@@ -171,20 +176,20 @@ void GfwDevice::inspect(const net::Packet& pkt, net::Dir dir,
   }
 
   if (t.flags.rst) {
-    if (handle_rst(*whole, dir)) return;
+    if (handle_rst(whole, dir)) return;
   }
-  if (!cfg_.evolved && handle_fin_teardown(*whole)) return;
+  if (!cfg_.evolved && handle_fin_teardown(whole)) return;
 
   if (t.flags.syn && t.flags.ack) {
-    handle_syn_ack(*whole, dir);
+    handle_syn_ack(whole, dir);
     return;
   }
   if (t.flags.syn) {
-    handle_syn(*whole, dir);
+    handle_syn(whole, dir);
     return;
   }
 
-  handle_payload(*whole, dir, fwd);
+  handle_payload(whole, dir, fwd);
 }
 
 bool GfwDevice::handle_rst(const net::Packet& pkt, net::Dir dir) {

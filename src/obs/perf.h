@@ -19,8 +19,8 @@
 //
 // diff_reports() compares two reports metric-by-metric with a relative
 // tolerance band and renders the regression table behind
-// `yourstate perf --diff old.json new.json [--check]`. Committed baselines
-// (BENCH_fleet.json, BENCH_runner_scaling.json at the repo root) plus the
+// `yourstate perf --diff old.json new.json [--check]`. The committed
+// baseline (BENCH_fleet.json at the repo root) plus the
 // bench_fleet_perf_check ctest gate give the zero-copy-arena work on the
 // ROADMAP its required before/after trajectory.
 #pragma once

@@ -17,17 +17,13 @@ namespace ys::search {
 
 namespace {
 
-/// Parse a SearchConfig's fault spec; a bad spec is a usage error, not a
-/// silent fault-free robustness axis.
-faults::FaultPlan parse_search_plan(const std::string& spec) {
-  if (spec.empty()) return {};
-  std::string error;
-  faults::FaultPlan plan = faults::parse_fault_plan(spec, error);
-  if (!error.empty()) {
-    std::fprintf(stderr, "--faults: %s\n", error.c_str());
-    std::exit(2);
-  }
-  return plan;
+/// The probe fetch of every search trial: the keyword request under the
+/// program's strategy. `prog` must outlive the trial.
+exp::HttpTrialOptions program_fetch(const CandidateProgram& prog) {
+  exp::HttpTrialOptions http;
+  http.with_keyword = true;
+  http.strategy_factory = [&prog] { return prog.make_strategy(); };
+  return http;
 }
 
 /// Deterministic archive entry order: strongest first, spec as the final
@@ -73,18 +69,18 @@ void VariantArchive::insert(ArchiveEntry e) {
 }
 
 SearchEngine::SearchEngine(SearchConfig cfg)
-    : cfg_(std::move(cfg)),
-      cal_(exp::Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
-      vp_(exp::china_vantage_points().front()),
-      servers_(exp::make_server_population(cfg_.servers, cfg_.seed, cal_,
-                                           /*inside_china=*/true)),
-      plan_(parse_search_plan(cfg_.fault_spec)) {
-  profiles_.reserve(cfg_.variants.size() * servers_.size());
+    : BenchWorld({.servers = cfg.servers,
+                  .seed = cfg.seed,
+                  .faults = cfg.fault_spec},
+                 {exp::china_vantage_points().front()},
+                 exp::make_server_population(cfg.servers, cfg.seed,
+                                             exp::Calibration::standard(),
+                                             /*inside_china=*/true)),
+      cfg_(std::move(cfg)) {
+  variant_profiles_.reserve(cfg_.variants.size() * servers_.size());
   for (const GfwVariant& variant : cfg_.variants) {
-    for (const exp::ServerSpec& server : servers_) {
-      profiles_.push_back(
-          variant.apply(exp::make_path_profile(vp_, server, cal_)));
+    for (std::size_t s = 0; s < servers_.size(); ++s) {
+      variant_profiles_.push_back(variant.apply(*profiles_.get(0, s)));
     }
   }
 }
@@ -105,34 +101,18 @@ u64 SearchEngine::trial_seed(const std::string& spec, std::size_t variant,
                         static_cast<u64>(trial)});
 }
 
-exp::ScenarioOptions SearchEngine::options_for(const CandidateProgram& prog,
-                                               std::size_t variant,
-                                               std::size_t server,
-                                               std::size_t trial,
-                                               bool tracing) const {
-  exp::ScenarioOptions opt;
-  opt.vp = vp_;
-  opt.server = servers_[server];
-  opt.cal = cal_;
-  opt.seed = trial_seed(prog.spec(), variant, server, trial);
-  opt.tracing = tracing;
-  opt.profile = &profiles_[variant * servers_.size() + server];
-  opt.harden = cfg_.variants[variant].harden;
-  const bool faulted =
-      trial >= static_cast<std::size_t>(cfg_.clean_trials) && !plan_.empty();
-  if (faulted) opt.faults = &plan_;
-  return opt;
-}
-
-exp::Outcome SearchEngine::run_one(const CandidateProgram& prog,
-                                   std::size_t variant, std::size_t server,
-                                   std::size_t trial) const {
-  exp::Scenario sc(&rules_, options_for(prog, variant, server, trial,
-                                        /*tracing=*/false));
-  exp::HttpTrialOptions http;
-  http.with_keyword = true;
-  http.strategy_factory = [&prog] { return prog.make_strategy(); };
-  return exp::run_http_trial(sc, http).outcome;
+exp::BenchWorld::HttpTrial SearchEngine::trial_for(
+    const CandidateProgram& prog, std::size_t variant, std::size_t server,
+    std::size_t trial, bool tracing) const {
+  const bool faulted = trial >= static_cast<std::size_t>(cfg_.clean_trials);
+  HttpTrial t{scenario_options(0, server,
+                               trial_seed(prog.spec(), variant, server, trial),
+                               tracing, faulted ? &plan_ : nullptr),
+              program_fetch(prog)};
+  t.scenario.profile =
+      &variant_profiles_[variant * servers_.size() + server];
+  t.scenario.harden = cfg_.variants[variant].harden;
+  return t;
 }
 
 exp::Replay SearchEngine::replay(const CandidateProgram& prog,
@@ -140,14 +120,8 @@ exp::Replay SearchEngine::replay(const CandidateProgram& prog,
                                  std::size_t trial,
                                  const std::string& trace_path,
                                  const std::string& pcap_path) const {
-  exp::Scenario sc(&rules_, options_for(prog, variant, server, trial,
-                                        /*tracing=*/true));
-  exp::HttpTrialOptions http;
-  http.with_keyword = true;
-  http.strategy_factory = [&prog] { return prog.make_strategy(); };
-  return exp::run_traced(
-      sc, [&http](exp::Scenario& s) { return exp::run_http_trial(s, http); },
-      trace_path, pcap_path);
+  return replay_http(trial_for(prog, variant, server, trial, /*tracing=*/true),
+                     trace_path, pcap_path);
 }
 
 std::string SearchEngine::store_name(int generation) {
@@ -206,7 +180,9 @@ std::vector<Score> SearchEngine::evaluate(
           }
         }
         const exp::Outcome o =
-            run_one(programs[c.cell], c.vantage, c.server, c.trial);
+            run_http(trial_for(programs[c.cell], c.vantage, c.server,
+                               c.trial, /*tracing=*/false))
+                .outcome;
         if (store != nullptr) store->put(slot, static_cast<i64>(o));
         return o;
       });
@@ -531,8 +507,8 @@ std::vector<CoevoRound> SearchEngine::coevolve(
   std::vector<exp::PathProfile> profiles;
   profiles.reserve(responses.size() * servers_.size());
   for (const CensorResponse& r : responses) {
-    for (const exp::ServerSpec& server : servers_) {
-      exp::PathProfile p = exp::make_path_profile(vp_, server, cal_);
+    for (std::size_t s = 0; s < servers_.size(); ++s) {
+      exp::PathProfile p = *profiles_.get(0, s);
       p.old_model = false;
       if (r.rst_established) p.rst_reaction_established = *r.rst_established;
       profiles.push_back(p);
@@ -581,21 +557,18 @@ std::vector<CoevoRound> SearchEngine::coevolve(
         }
         const CandidateProgram& prog = progs[c.cell];
         const CensorResponse& r = responses[c.vantage];
-        exp::ScenarioOptions opt;
-        opt.vp = vp_;
-        opt.server = servers_[c.server];
-        opt.cal = cal_;
-        opt.seed = Rng::mix_seed(
-            {cfg_.seed, Rng::hash_label(prog.spec()), 0xC0E0ULL,
-             Rng::hash_label(r.name), static_cast<u64>(servers_[c.server].ip),
-             static_cast<u64>(c.trial)});
-        opt.profile = &profiles[c.vantage * servers_.size() + c.server];
-        opt.harden = r.harden;
-        exp::Scenario sc(&rules_, opt);
-        exp::HttpTrialOptions http;
-        http.with_keyword = true;
-        http.strategy_factory = [&prog] { return prog.make_strategy(); };
-        const exp::Outcome o = exp::run_http_trial(sc, http).outcome;
+        HttpTrial t{scenario_options(
+                        0, c.server,
+                        Rng::mix_seed({cfg_.seed, Rng::hash_label(prog.spec()),
+                                       0xC0E0ULL, Rng::hash_label(r.name),
+                                       static_cast<u64>(servers_[c.server].ip),
+                                       static_cast<u64>(c.trial)}),
+                        /*tracing=*/false, nullptr),
+                    program_fetch(prog)};
+        t.scenario.profile =
+            &profiles[c.vantage * servers_.size() + c.server];
+        t.scenario.harden = r.harden;
+        const exp::Outcome o = run_http(std::move(t)).outcome;
         if (store != nullptr) store->put(slot, static_cast<i64>(o));
         return o;
       });

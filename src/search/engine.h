@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "exp/benchdef.h"
-#include "faults/fault_plan.h"
 #include "search/program.h"
 #include "search/variant.h"
 
@@ -131,7 +130,11 @@ struct SearchResult {
   std::string render() const;
 };
 
-class SearchEngine {
+/// The search's world is a BenchWorld with one vantage point (the first
+/// inside-China one), cfg.servers seeded inside-China servers and the
+/// robustness axis's fault plan; a GFW variant rewrites the world's pooled
+/// path profiles.
+class SearchEngine : public exp::BenchWorld {
  public:
   explicit SearchEngine(SearchConfig cfg);
 
@@ -149,9 +152,6 @@ class SearchEngine {
                      const std::string& pcap_path = {}) const;
 
   const SearchConfig& config() const { return cfg_; }
-  const std::vector<exp::ServerSpec>& server_population() const {
-    return servers_;
-  }
 
   /// Trials per program in one generation grid (variants × servers ×
   /// (clean + faulted)).
@@ -181,22 +181,17 @@ class SearchEngine {
                              const CandidateProgram& b, Rng& rng) const;
   u64 trial_seed(const std::string& spec, std::size_t variant,
                  std::size_t server, std::size_t trial) const;
-  exp::ScenarioOptions options_for(const CandidateProgram& prog,
-                                   std::size_t variant, std::size_t server,
-                                   std::size_t trial, bool tracing) const;
-  exp::Outcome run_one(const CandidateProgram& prog, std::size_t variant,
-                       std::size_t server, std::size_t trial) const;
+  /// One evaluation trial, built in one place for its grid run and its
+  /// replay.
+  HttpTrial trial_for(const CandidateProgram& prog, std::size_t variant,
+                      std::size_t server, std::size_t trial,
+                      bool tracing) const;
   std::vector<CoevoRound> coevolve(
       const std::vector<VariantArchive>& archives, u64* evaluations) const;
 
   SearchConfig cfg_;
-  exp::Calibration cal_;
-  gfw::DetectionRules rules_;
-  exp::VantagePoint vp_;
-  std::vector<exp::ServerSpec> servers_;
-  faults::FaultPlan plan_;
   /// Variant-adjusted systematic path draws, [variant * servers + server].
-  std::vector<exp::PathProfile> profiles_;
+  std::vector<exp::PathProfile> variant_profiles_;
 };
 
 }  // namespace ys::search

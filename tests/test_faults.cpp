@@ -556,5 +556,21 @@ TEST(Faults, GridDeterministicAcrossJobs) {
   EXPECT_EQ(sweep(1), sweep(2));
 }
 
+// bench_table4 --faults once reached only the inside-China rows: the
+// outside-China grid ignored the plan. Both directions now build their
+// trials from the scale's plan.
+TEST(Faults, Table4OutsideTrialsRunUnderTheScalesPlan) {
+  BenchScale scale;
+  scale.trials = 1;
+  scale.servers = 2;
+  scale.seed = 2017;
+  const Table4Bench clean(scale, Table4Bench::Direction::kOutside);
+  scale.faults = "chaos";
+  const Table4Bench faulted(scale, Table4Bench::Direction::kOutside);
+  const runner::GridCoord c{0, 1, 1, 0};
+  EXPECT_TRUE(clean.replay_fixed(c).attribution.fault_note.empty());
+  EXPECT_FALSE(faulted.replay_fixed(c).attribution.fault_note.empty());
+}
+
 }  // namespace
 }  // namespace ys

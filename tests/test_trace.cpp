@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <functional>
 #include <map>
 #include <memory>
@@ -336,13 +338,34 @@ TEST(Export, RoundTrip) {
 // ------------------------------------------------------ replay determinism
 
 /// One bench definition's replay check: the untraced --jobs=2 grid's slot
-/// at a trial >= 1 coordinate, and a traced replay of that coordinate.
+/// at a trial >= 1 coordinate, and a traced replay of that coordinate that
+/// captures the client's wire to the given pcap path.
 struct ReplayCase {
   Outcome grid_outcome = Outcome::kTrialError;
   /// Set where the grid records the strategy a trial used.
   std::optional<strategy::StrategyId> grid_strategy;
-  std::function<Replay()> replay;
+  std::function<Replay(const std::string& pcap)> replay;
 };
+
+/// Packet records in a little-endian pcap file; -1 when the file is not a
+/// whole number of records after the 24-byte global header.
+long pcap_records(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const auto u8 = [&bytes](std::size_t i) {
+    return static_cast<std::size_t>(static_cast<unsigned char>(bytes[i]));
+  };
+  std::size_t pos = 24;
+  long records = 0;
+  while (pos + 16 <= bytes.size()) {
+    const std::size_t incl_len = u8(pos + 8) | u8(pos + 9) << 8 |
+                                 u8(pos + 10) << 16 | u8(pos + 11) << 24;
+    pos += 16 + incl_len;
+    ++records;
+  }
+  return pos == bytes.size() ? records : -1;
+}
 
 runner::PoolOptions two_jobs() {
   runner::PoolOptions pool;
@@ -385,10 +408,14 @@ ReplayCase make_replay_case(const std::string& bench) {
                                return b->run_trial(gc);
                              })
             .slots[grid.index(c)];
-    return {slot.outcome, slot.strategy_used, [b, c] { return b->replay(c); }};
+    return {slot.outcome, slot.strategy_used,
+            [b, c](const std::string& pcap) { return b->replay(c, {}, pcap); }};
   }
-  if (bench == "table4-inside") {
-    auto b = std::make_shared<const Table4Inside>(replay_scale(2));
+  if (bench == "table4-inside" || bench == "table4-outside") {
+    auto b = std::make_shared<const Table4Bench>(
+        replay_scale(2), bench == "table4-inside"
+                             ? Table4Bench::Direction::kInside
+                             : Table4Bench::Direction::kOutside);
     const runner::GridCoord c{2, 0, 1, 1};
     const runner::TrialGrid grid = b->fixed_grid();
     const TrialResult slot =
@@ -398,19 +425,21 @@ ReplayCase make_replay_case(const std::string& bench) {
                                return b->run_fixed(gc);
                              })
             .slots[grid.index(c)];
-    return {slot.outcome, slot.strategy_used,
-            [b, c] { return b->replay_fixed(c); }};
+    return {slot.outcome, slot.strategy_used, [b, c](const std::string& pcap) {
+              return b->replay_fixed(c, {}, pcap);
+            }};
   }
   if (bench == "table4-intang") {
-    auto b = std::make_shared<const Table4Inside>(replay_scale(2));
+    auto b = std::make_shared<const Table4Bench>(replay_scale(2));
     const runner::GridCoord c{0, 1, 0, 1};
     const TrialResult slot = chained_slot(
         b->intang_grid(), c,
         [&](const runner::GridCoord& gc, intang::StrategySelector& sel) {
           return b->run_intang(gc, sel);
         });
-    return {slot.outcome, slot.strategy_used,
-            [b, c] { return b->replay_intang(c); }};
+    return {slot.outcome, slot.strategy_used, [b, c](const std::string& pcap) {
+              return b->replay_intang(c, {}, pcap);
+            }};
   }
   if (bench == "table6-dns") {
     auto b = std::make_shared<const Table6Dns>(replay_scale(1));
@@ -422,7 +451,8 @@ ReplayCase make_replay_case(const std::string& bench) {
         });
     EXPECT_NE(slot.strategy_used, strategy::StrategyId::kNone)
         << "the forwarder's connection runs under an INTANG strategy";
-    return {slot.outcome, slot.strategy_used, [b, c] { return b->replay(c); }};
+    return {slot.outcome, slot.strategy_used,
+            [b, c](const std::string& pcap) { return b->replay(c, {}, pcap); }};
   }
   if (bench == "faults") {
     BenchScale scale = replay_scale(2);
@@ -434,7 +464,8 @@ ReplayCase make_replay_case(const std::string& bench) {
         [&](const runner::GridCoord& gc, intang::StrategySelector& sel) {
           return b->run_trial(gc, sel);
         });
-    return {slot.outcome, slot.strategy_used, [b, c] { return b->replay(c); }};
+    return {slot.outcome, slot.strategy_used,
+            [b, c](const std::string& pcap) { return b->replay(c, {}, pcap); }};
   }
   if (bench == "fleet") {
     std::string error;
@@ -446,7 +477,9 @@ ReplayCase make_replay_case(const std::string& bench) {
     const runner::GridCoord c{0, 1, 0, fl->grid().trials - 1};
     const auto rec = fleet::Fleet::FlowRecord::decode(
         fl->sweep(two_jobs()).slots[fl->grid().index(c)]);
-    return {rec.outcome, rec.strategy, [fl, c] { return fl->replay_flow(c); }};
+    return {rec.outcome, rec.strategy, [fl, c](const std::string& pcap) {
+              return fl->replay_flow(c, {}, pcap);
+            }};
   }
   // search: one program's evaluation grid, outcomes read back from the
   // engine's results store.
@@ -470,8 +503,10 @@ ReplayCase make_replay_case(const std::string& bench) {
     outcome = static_cast<Outcome>(store.get(grid.index(c)).value_or(-1));
   }
   std::filesystem::remove_all(dir, ec);
-  return {outcome, std::nullopt, [engine, prog, c] {
-            return engine->replay(prog, c.vantage, c.server, c.trial);
+  return {outcome, std::nullopt,
+          [engine, prog, c](const std::string& pcap) {
+            return engine->replay(prog, c.vantage, c.server, c.trial, {},
+                                  pcap);
           }};
 }
 
@@ -479,19 +514,29 @@ class TraceReplay : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TraceReplay, EqualsGridSlotAndIsDeterministic) {
   const ReplayCase rc = make_replay_case(GetParam());
+  const std::string pcap1 = "test_trace_replay_" + GetParam() + "_1.pcap";
+  const std::string pcap2 = "test_trace_replay_" + GetParam() + "_2.pcap";
 
   obs::MetricsRegistry reg1;
   Replay r1;
   {
     obs::ScopedMetricsRegistry scope(&reg1);
-    r1 = rc.replay();
+    r1 = rc.replay(pcap1);
   }
   obs::MetricsRegistry reg2;
   Replay r2;
   {
     obs::ScopedMetricsRegistry scope(&reg2);
-    r2 = rc.replay();
+    r2 = rc.replay(pcap2);
   }
+
+  // The replay reports exactly the packets its capture wrote.
+  ASSERT_TRUE(r1.pcap_packets.has_value());
+  EXPECT_GT(*r1.pcap_packets, 0u);
+  EXPECT_EQ(static_cast<long>(*r1.pcap_packets), pcap_records(pcap1));
+  EXPECT_EQ(r1.pcap_packets, r2.pcap_packets);
+  std::filesystem::remove(pcap1);
+  std::filesystem::remove(pcap2);
 
   // The replay reproduces the grid's trial (chain prefix included), and
   // tracing cannot perturb it.
@@ -512,8 +557,9 @@ TEST_P(TraceReplay, EqualsGridSlotAndIsDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(
     Trace, TraceReplay,
-    ::testing::Values("table1", "table4-inside", "table4-intang",
-                      "table6-dns", "faults", "fleet", "search"),
+    ::testing::Values("table1", "table4-inside", "table4-outside",
+                      "table4-intang", "table6-dns", "faults", "fleet",
+                      "search"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& ch : name) {
@@ -523,7 +569,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FlightRecorder, RecordLeavesCallerTelemetryUntouched) {
-  const Table4Inside bench(replay_scale(2));
+  const Table4Bench bench(replay_scale(2));
   const std::string dir = "test_trace_flight.tmp";
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
@@ -561,7 +607,7 @@ TEST(FlightRecorder, RecordLeavesPhasesAndNextTrialChurnUntouched) {
   // A bench archives anomalies between grid trials on its own thread: the
   // replay must not add to the phase profile, nor make the next grid trial
   // pay to rebind this thread's metric handles.
-  const Table4Inside bench(replay_scale(2));
+  const Table4Bench bench(replay_scale(2));
   const std::string dir = "test_trace_flight_phases.tmp";
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

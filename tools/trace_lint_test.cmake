@@ -94,6 +94,7 @@ message(STATUS "${lint_out}")
 set(explain_common --vantage=0 --server=0 --trial=1 --trials=2 --servers=2)
 set(explain_args_table1 --cell=18)
 set(explain_args_table4-inside --cell=2)
+set(explain_args_table4-outside --cell=1)
 set(explain_args_table4-intang --cell=0)
 set(explain_args_table6-dns --cell=0)
 set(explain_args_faults --cell=1 --faults=loss-burst)

@@ -74,8 +74,9 @@
 //                        flows=400;...") or @file.json — see EXPERIMENTS.md
 //
 // `explain` options (grid coordinates; --server is the server INDEX here):
-//   --bench=NAME         table1 | table4-inside | table4-intang |
-//                        table6-dns | faults | fleet | search
+//   --bench=NAME         table1 | table4-inside | table4-outside |
+//                        table4-intang | table6-dns | faults | fleet |
+//                        search
 //   --cell=N --vantage=N --server=N --trial=N   the coordinate
 //   --trials=N --servers=N --seed=S --faults=SPEC  the bench scale (must
 //                        match the run being explained for identical
@@ -112,14 +113,12 @@
 #include "exp/stats.h"
 #include "exp/trial.h"
 #include "faults/fault_plan.h"
-#include "netsim/pcap.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/perf.h"
 #include "obs/report.h"
 #include "obs/timeline.h"
 #include "obs/timeline_export.h"
-#include "obs/trace_export.h"
 #include "runner/runner.h"
 #include "search/engine.h"
 #include "supervisor/shard_child.h"
@@ -776,33 +775,9 @@ Scenario make_scenario(const gfw::DetectionRules* rules,
   return Scenario(rules, opt);
 }
 
-void write_trace_out(Scenario& sc, const std::string& path) {
-  if (path.empty()) return;
-  if (obs::write_chrome_trace(path, sc.trace())) {
-    std::printf("trace written to %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write --trace-out file %s\n", path.c_str());
-  }
-}
-
-void attach_pcap(Scenario& sc, net::PcapWriter& writer,
-                 const std::string& path) {
-  if (path.empty()) return;
-  if (auto st = writer.open(path); !st.ok()) {
-    std::fprintf(stderr, "pcap: %s\n", st.error().message.c_str());
-    return;
-  }
-  sc.path().set_client_capture(
-      [&writer](const net::Packet& pkt, SimTime at) {
-        (void)writer.write(pkt, at);
-      });
-}
-
 int cmd_trial(const CliOptions& cli, const VantagePoint& vp) {
   const gfw::DetectionRules rules = gfw::DetectionRules::standard();
   Scenario sc = make_scenario(&rules, cli, vp);
-  net::PcapWriter writer;
-  attach_pcap(sc, writer, cli.pcap);
 
   HttpTrialOptions http;
   http.with_keyword = cli.keyword;
@@ -818,10 +793,15 @@ int cmd_trial(const CliOptions& cli, const VantagePoint& vp) {
     }
     http.strategy_factory = [&program] { return program->make_strategy(); };
   }
-  const TrialResult result = run_http_trial(sc, http);
+  const Replay replay = run_traced(
+      sc, [&http](Scenario& s) { return run_http_trial(s, http); },
+      cli.trace_out, cli.pcap);
+  const TrialResult& result = replay.result;
 
-  if (cli.trace) std::printf("%s\n", sc.trace().render().c_str());
-  write_trace_out(sc, cli.trace_out);
+  if (cli.trace) std::printf("%s\n", replay.ladder.c_str());
+  if (replay.trace_written) {
+    std::printf("trace written to %s\n", cli.trace_out.c_str());
+  }
   std::printf("vantage=%s server=%s strategy=%s keyword=%d\n",
               vp.name.c_str(), net::ip_to_string(cli.server).c_str(),
               program ? ("search:" + program->spec()).c_str()
@@ -830,8 +810,8 @@ int cmd_trial(const CliOptions& cli, const VantagePoint& vp) {
   std::printf("outcome=%s response=%d gfw_resets=%d other_resets=%d\n",
               to_string(result.outcome), result.response_received,
               result.gfw_reset_seen, result.other_reset_seen);
-  if (writer.is_open()) {
-    std::printf("captured %zu packets to %s\n", writer.packets_written(),
+  if (replay.pcap_packets) {
+    std::printf("captured %zu packets to %s\n", *replay.pcap_packets,
                 cli.pcap.c_str());
   }
   return result.outcome == Outcome::kSuccess ? 0 : 1;
@@ -1151,8 +1131,11 @@ int cmd_explain(const CliOptions& cli) {
   scale.seed = cli.seed != 1 ? cli.seed : 2017;  // bench default seed
   scale.faults = cli.faults;
   const bool is_faults = cli.bench == "faults";
+  const bool outside = cli.bench == "table4-outside";
   scale.servers = cli.servers_scale > 0 ? cli.servers_scale
-                                        : (is_faults ? 8 : 77);
+                  : is_faults           ? 8
+                  : outside             ? 33
+                                        : 77;
 
   const runner::GridCoord coord{
       static_cast<std::size_t>(cli.cell), static_cast<std::size_t>(cli.vantage),
@@ -1252,7 +1235,8 @@ int cmd_explain(const CliOptions& cli) {
                   flow.soak_phase);
     extra = buf;
   } else {
-    const Table4Inside bench(scale);
+    const Table4Bench bench(scale, outside ? Table4Bench::Direction::kOutside
+                                          : Table4Bench::Direction::kInside);
     const bool intang = cli.bench == "table4-intang";
     if (!coord_in_grid(coord,
                        intang ? bench.intang_grid() : bench.fixed_grid(), "")) {
